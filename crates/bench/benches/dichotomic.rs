@@ -7,7 +7,7 @@
 //! `BENCH_dichotomic.json` at the repo root (machine-readable perf trajectory).
 
 use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
-use bmp_core::solver::{batched_guarded_throughputs, AcyclicGuardedAlgorithm, EvalCtx, Solver};
+use bmp_core::solver::{AcyclicGuardedAlgorithm, EvalCtx, Solver};
 use bmp_core::BroadcastScheme;
 use bmp_flow::FlowSolver;
 use bmp_platform::distribution::UniformBandwidth;
@@ -156,7 +156,9 @@ fn bench_reevaluation(c: &mut Criterion) {
 
 /// The scale benchmark of the dirty-edge journal: single-edge re-probes (the dichotomic
 /// access pattern) on n ∈ {500, 2000, 5000} overlays, journaled evaluation versus the
-/// PR-2 scan-based path. Both variants run identical flow solves on identical arenas
+/// scan-and-rewrite fallback. The scan variants alternate between two copies of the
+/// scheme, so the context's journal association always belongs to the other object and
+/// every evaluation scans. Both variants run identical flow solves on identical arenas
 /// (the journal is exact); the difference is purely the per-probe O(n²) rate-matrix
 /// rescan the journal skips, so the gap widens quadratically with n.
 fn bench_journaled(c: &mut Criterion) {
@@ -175,167 +177,54 @@ fn bench_journaled(c: &mut Criterion) {
         let probe_sink = receivers[receivers.len() / 2];
 
         // A probe loop evaluating one max-flow per mutation: arena handling dominates.
-        let mut single_sink = |label: &str, journal: bool| {
+        let mut single_sink = |label: &str, scan: bool| {
             group.bench_with_input(
                 BenchmarkId::new(label, n),
                 &solution.scheme,
                 |b, scheme: &BroadcastScheme| {
-                    let mut scheme = scheme.clone();
+                    let mut copies = [scheme.clone(), scheme.clone()];
                     let mut ctx = EvalCtx::new();
-                    ctx.set_journal_enabled(journal);
                     let mut k = 0usize;
                     b.iter(|| {
                         let (from, to, rate) = base_edges[k % base_edges.len()];
                         let scale = if k.is_multiple_of(2) { 0.999 } else { 0.9995 };
+                        let scheme = &mut copies[if scan { k % 2 } else { 0 }];
                         k += 1;
                         scheme.set_rate(from, to, rate * scale);
-                        ctx.max_flow_to(&scheme, probe_sink)
+                        ctx.max_flow_to(scheme, probe_sink)
                     })
                 },
             );
         };
-        single_sink("scan-single-sink", false);
-        single_sink("journaled-single-sink", true);
+        single_sink("scan-single-sink", true);
+        single_sink("journaled-single-sink", false);
 
         // Full multi-sink evaluation per probe (flow solves dominate at scale, so the
         // journal's win is relative — measured at the two acceptance sizes only).
         if n <= 2000 {
-            let mut full_eval = |label: &str, journal: bool| {
+            let mut full_eval = |label: &str, scan: bool| {
                 group.bench_with_input(
                     BenchmarkId::new(label, n),
                     &solution.scheme,
                     |b, scheme: &BroadcastScheme| {
-                        let mut scheme = scheme.clone();
+                        let mut copies = [scheme.clone(), scheme.clone()];
                         let mut ctx = EvalCtx::new();
-                        ctx.set_journal_enabled(journal);
                         let mut k = 0usize;
                         b.iter(|| {
                             let (from, to, rate) = base_edges[k % base_edges.len()];
                             let scale = if k.is_multiple_of(2) { 0.999 } else { 0.9995 };
+                            let scheme = &mut copies[if scan { k % 2 } else { 0 }];
                             k += 1;
                             scheme.set_rate(from, to, rate * scale);
-                            ctx.throughput(&scheme)
+                            ctx.throughput(scheme)
                         })
                     },
                 );
             };
-            full_eval("scan-full", false);
-            full_eval("journaled-full", true);
+            full_eval("scan-full", true);
+            full_eval("journaled-full", false);
         }
     }
-    group.finish();
-}
-
-/// Speculative dichotomic probing against the flow pool: the full Theorem 4.1 solve at
-/// depth 0 (serial — one probe per bisection step), 1 and 2 (the candidate tree of the
-/// next 1–2 levels is evaluated concurrently and the wrong branch discarded). The
-/// three runs are bit-identical in their answer; the depth only trades wasted probes
-/// for critical-path latency, so the gap is the direct measure of "when speculation
-/// wins" (multi-lane: spec beats serial; single-core: speculation is pure overhead).
-fn bench_speculative(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dichotomic");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    let inst = random_instance(400, 0.6, 7);
-    for (label, depth) in [("serial", 0usize), ("spec1", 1), ("spec2", 2)] {
-        group.bench_with_input(BenchmarkId::new("speculative", label), &inst, |b, inst| {
-            b.iter(|| {
-                let mut ctx = EvalCtx::new();
-                ctx.set_speculation(depth);
-                AcyclicGuardedAlgorithm
-                    .solve(inst, &mut ctx)
-                    .expect("solvable")
-                    .throughput
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Warm residual reuse across re-probes: the dichotomic access pattern (fixed edge
-/// set, one rate nudged per probe, full multi-sink evaluation) with and without
-/// [`EvalCtx::set_incremental`]. Values are bit-identical; warm mode retains each
-/// sink's residual per `(arena epoch, source, sink)` and answers most per-sink solves
-/// with a capacity-delta apply plus a certificate check instead of a cold Dinic —
-/// only the bottleneck sink (whose exact value steers the running minimum) and the
-/// first, unlimited solve recompute cold. The receiver count stays below the warm
-/// cache's 64-state cap so the states survive probe to probe; the gap is the direct
-/// measure of what the retained residuals save (the perf gate pins warm ≥ 1.5× cold).
-fn bench_incremental(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dichotomic");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    let inst = random_instance(48, 0.7, 21);
-    let solution = AcyclicGuardedAlgorithm
-        .solve(&inst, &mut EvalCtx::new())
-        .expect("solvable");
-    let base_edges = solution.scheme.edges();
-    for (label, incremental) in [("cold", false), ("warm", true)] {
-        group.bench_with_input(
-            BenchmarkId::new("incremental", label),
-            &solution.scheme,
-            |b, scheme| {
-                let mut scheme = scheme.clone();
-                let mut ctx = EvalCtx::new();
-                ctx.set_parallelism(1);
-                ctx.set_incremental(incremental);
-                let mut k = 0usize;
-                b.iter(|| {
-                    let (from, to, rate) = base_edges[k % base_edges.len()];
-                    let scale = if k.is_multiple_of(2) { 0.999 } else { 0.9995 };
-                    k += 1;
-                    scheme.set_rate(from, to, rate * scale);
-                    ctx.throughput(&scheme)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Cross-instance batched probing: a 64-cell sweep solved by `BatchedSearch` (one
-/// pending probe per unfinished cell, gathered into shared pool passes) versus the
-/// per-cell serial loop the sweeps used before. Cell results are bit-identical; the
-/// batching only changes how probes share the pool's lanes.
-fn bench_batched_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sweep");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    let instances: Vec<Instance> = (0..64)
-        .map(|i| random_instance(24, 0.6, 1000 + i))
-        .collect();
-    let tolerance = 1e-9;
-    group.bench_with_input(
-        BenchmarkId::new("batched-probes", "batched"),
-        &instances,
-        |b, instances| {
-            b.iter(|| {
-                batched_guarded_throughputs(instances, tolerance, 0)
-                    .iter()
-                    .map(|(t, _, _)| t)
-                    .sum::<f64>()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("batched-probes", "per-cell"),
-        &instances,
-        |b, instances| {
-            let solver = AcyclicGuardedSolver::with_tolerance(tolerance);
-            b.iter(|| {
-                instances
-                    .iter()
-                    .map(|inst| solver.optimal_throughput(inst).0)
-                    .sum::<f64>()
-            })
-        },
-    );
     group.finish();
 }
 
@@ -343,10 +232,7 @@ criterion_group!(
     benches,
     bench_dichotomic,
     bench_reevaluation,
-    bench_journaled,
-    bench_speculative,
-    bench_incremental,
-    bench_batched_sweep
+    bench_journaled
 );
 
 fn main() {

@@ -157,91 +157,6 @@ pub fn perf_gate(
     })
 }
 
-/// `id` with its last path segment replaced by `segment` (the sibling convention of
-/// the comparison benches — `dichotomic/speculative/spec1` and `serial` are siblings).
-fn sibling_id(id: &str, segment: &str) -> String {
-    match id.rsplit_once('/') {
-        Some((prefix, _)) => format!("{prefix}/{segment}"),
-        None => segment.to_string(),
-    }
-}
-
-/// The reference id a `--require-improvement` assertion compares against: the same
-/// benchmark path with its last segment replaced by `serial` (the convention of the
-/// speculative benches — `dichotomic/speculative/spec1` is measured against
-/// `dichotomic/speculative/serial`).
-#[must_use]
-pub fn serial_reference_id(id: &str) -> String {
-    sibling_id(id, "serial")
-}
-
-/// Resolves the reference sibling a `--require-improvement` assertion for `id`
-/// compares against: the `serial` sibling when the document carries one (the
-/// speculative convention), otherwise the `cold` sibling (the warm-vs-cold
-/// convention of the incremental-reuse benches — `dichotomic/incremental/warm` is
-/// measured against `dichotomic/incremental/cold`).
-///
-/// # Errors
-///
-/// Returns a description when the document carries neither sibling.
-pub fn resolve_reference_id(doc: &BenchDocument, id: &str) -> Result<String, String> {
-    for segment in ["serial", "cold"] {
-        let candidate = sibling_id(id, segment);
-        if candidate != id && doc.median_ns(&candidate).is_some() {
-            return Ok(candidate);
-        }
-    }
-    Err(format!(
-        "no reference sibling ({:?} or {:?}) for {id:?} is present in the document",
-        sibling_id(id, "serial"),
-        sibling_id(id, "cold"),
-    ))
-}
-
-/// Asserts that `id` in `doc` is at least `ratio`× faster (smaller median) than its
-/// reference sibling ([`resolve_reference_id`]: the `serial` sibling if present,
-/// else the `cold` one). Returns `Ok(None)` when `doc` is a smoke run — there are
-/// no timings to compare, so the assertion abstains (the caller also abstains on
-/// single-core hosts *for serial-referenced ids*, where speculation cannot win by
-/// construction — warm-vs-cold ids stay asserted, their win being sequential);
-/// `Ok(Some(actual))` with the achieved speedup when the assertion holds.
-///
-/// # Errors
-///
-/// Returns a description when either id is missing, the measured median is not
-/// positive, or the achieved speedup falls short of `ratio`.
-pub fn require_improvement(
-    doc: &BenchDocument,
-    id: &str,
-    ratio: f64,
-) -> Result<Option<f64>, String> {
-    if !doc.is_measured() {
-        return Ok(None);
-    }
-    let reference_id = resolve_reference_id(doc, id)?;
-    let measured = doc
-        .median_ns(id)
-        .ok_or_else(|| format!("required id {id:?} is missing from the document"))?;
-    let reference = doc.median_ns(&reference_id).ok_or_else(|| {
-        format!("reference id {reference_id:?} (for {id:?}) is missing from the document")
-    })?;
-    if measured <= 0.0 || reference <= 0.0 {
-        return Err(format!(
-            "{id}: non-positive medians ({measured} ns vs {reference} ns) cannot be compared"
-        ));
-    }
-    let actual = reference / measured;
-    if actual < ratio {
-        return Err(format!(
-            "{id}: only {actual:.2}x faster than {reference_id} \
-             ({:.3} ms vs {:.3} ms), required {ratio}x",
-            measured / 1e6,
-            reference / 1e6
-        ));
-    }
-    Ok(Some(actual))
-}
-
 /// Validates an emitted `BENCH_*.json`: it parses, names `benchmark`, carries a known
 /// `mode`, and every id in `expected_ids` appears verbatim among the results (exact
 /// match — a substring match would let `.../500` be satisfied by `.../5000`, silently
@@ -349,25 +264,14 @@ pub fn read_bench_document(path: &Path, benchmark: &str) -> Result<BenchDocument
 }
 
 /// The benchmark ids the `dichotomic` report must contain (the acceptance surface of
-/// the incremental-evaluation work — journal vs scan at n = 500 / 2000 / 5000 — plus
-/// the speculation surface: the serial/spec1/spec2 solve triple and the
-/// batched-vs-per-cell sweep pair, and the warm-residual-reuse cold/warm re-probe
-/// pair, so a regenerated report can never silently drop the comparisons the perf
-/// gate asserts on).
-pub const DICHOTOMIC_REQUIRED_IDS: [&str; 13] = [
+/// the incremental-evaluation work: journal vs scan at n = 500 / 2000 / 5000).
+pub const DICHOTOMIC_REQUIRED_IDS: [&str; 6] = [
     "journaled_reevaluation/scan-single-sink/500",
     "journaled_reevaluation/journaled-single-sink/500",
     "journaled_reevaluation/scan-single-sink/2000",
     "journaled_reevaluation/journaled-single-sink/2000",
     "journaled_reevaluation/scan-single-sink/5000",
     "journaled_reevaluation/journaled-single-sink/5000",
-    "dichotomic/speculative/serial",
-    "dichotomic/speculative/spec1",
-    "dichotomic/speculative/spec2",
-    "dichotomic/incremental/cold",
-    "dichotomic/incremental/warm",
-    "sweep/batched-probes/batched",
-    "sweep/batched-probes/per-cell",
 ];
 
 /// The benchmark ids the `throughput` report must contain (sequential batched pass vs
@@ -385,17 +289,14 @@ pub const THROUGHPUT_REQUIRED_IDS: [&str; 7] = [
 
 /// The benchmark ids the `sim` report must contain (the session engine's per-round hot
 /// path over the word-packed possession bitsets, the widest policy scan, the hardened
-/// repair pipeline's faulted repair cycle, the warm-vs-cold repair solve pair that
-/// keeps the residual warm-start from regressing silently, and the
-/// incremental-vs-cold repair pair guarding warm residual reuse the same way).
-pub const SIM_REQUIRED_IDS: [&str; 7] = [
+/// repair pipeline's faulted repair cycle, and the warm-vs-cold repair solve pair that
+/// keeps the residual warm-start from regressing silently).
+pub const SIM_REQUIRED_IDS: [&str; 5] = [
     "sim_round/session/50x1000",
     "sim_round/pick/rarest-first/4096",
     "fault_storm/repair-cycle/50",
     "repair/warm-vs-cold/warm",
     "repair/warm-vs-cold/cold",
-    "repair/incremental-vs-cold/warm",
-    "repair/incremental-vs-cold/cold",
 ];
 
 /// The benchmark ids the `serve` report must contain (the sharded fleet runner end to
@@ -500,103 +401,6 @@ mod tests {
         let path = dir.join(format!("BENCH_{name}.json"));
         std::fs::write(&path, bench_report_json("sample", &reports)).unwrap();
         path
-    }
-
-    #[test]
-    fn serial_reference_replaces_the_last_path_segment() {
-        assert_eq!(
-            serial_reference_id("dichotomic/speculative/spec1"),
-            "dichotomic/speculative/serial"
-        );
-        assert_eq!(serial_reference_id("a/b"), "a/serial");
-        assert_eq!(serial_reference_id("bare"), "serial");
-    }
-
-    #[test]
-    fn require_improvement_compares_against_the_serial_reference() {
-        let reports = vec![
-            BenchReport {
-                id: "dichotomic/speculative/serial".to_string(),
-                median_ns: 1000.0,
-                best_ns: 900.0,
-                smoke: false,
-            },
-            BenchReport {
-                id: "dichotomic/speculative/spec1".to_string(),
-                median_ns: 500.0,
-                best_ns: 450.0,
-                smoke: false,
-            },
-        ];
-        let dir = std::env::temp_dir().join(format!("bmp_bench_improve_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sample.json");
-        std::fs::write(&path, bench_report_json("sample", &reports)).unwrap();
-        let doc = read_bench_document(&path, "sample").unwrap();
-        // 2x measured: a 1.3x requirement passes with the achieved ratio reported…
-        let achieved = require_improvement(&doc, "dichotomic/speculative/spec1", 1.3)
-            .unwrap()
-            .unwrap();
-        assert!((achieved - 2.0).abs() < 1e-9, "{achieved}");
-        // …a 2.5x requirement fails, naming both ids and the shortfall…
-        let err = require_improvement(&doc, "dichotomic/speculative/spec1", 2.5).unwrap_err();
-        assert!(err.contains("spec1"), "{err}");
-        assert!(err.contains("serial"), "{err}");
-        assert!(err.contains("2.00x"), "{err}");
-        // …and a missing id (either side) is a structural error, not a pass.
-        assert!(require_improvement(&doc, "dichotomic/speculative/spec2", 1.0).is_err());
-        assert!(require_improvement(&doc, "other/group/fast", 1.0).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn require_improvement_falls_back_to_the_cold_sibling() {
-        let doc = BenchDocument {
-            mode: "measured".to_string(),
-            medians: vec![
-                ("dichotomic/incremental/cold".to_string(), 900.0),
-                ("dichotomic/incremental/warm".to_string(), 300.0),
-            ],
-        };
-        // No `serial` sibling exists, so the reference resolves to `cold`…
-        assert_eq!(
-            resolve_reference_id(&doc, "dichotomic/incremental/warm").unwrap(),
-            "dichotomic/incremental/cold"
-        );
-        let achieved = require_improvement(&doc, "dichotomic/incremental/warm", 1.5)
-            .unwrap()
-            .unwrap();
-        assert!((achieved - 3.0).abs() < 1e-9, "{achieved}");
-        // …a shortfall names the cold reference…
-        let err = require_improvement(&doc, "dichotomic/incremental/warm", 4.0).unwrap_err();
-        assert!(err.contains("cold"), "{err}");
-        // …and when both siblings exist, `serial` wins (the speculative convention).
-        let both = BenchDocument {
-            mode: "measured".to_string(),
-            medians: vec![
-                ("g/serial".to_string(), 1000.0),
-                ("g/cold".to_string(), 2000.0),
-                ("g/fast".to_string(), 500.0),
-            ],
-        };
-        assert_eq!(resolve_reference_id(&both, "g/fast").unwrap(), "g/serial");
-        // A document with neither sibling cannot resolve a reference.
-        assert!(resolve_reference_id(&doc, "other/group/fast").is_err());
-        // The id being its own sibling does not self-reference: `g/cold` against
-        // `g/serial`, never against itself.
-        assert_eq!(resolve_reference_id(&both, "g/cold").unwrap(), "g/serial");
-    }
-
-    #[test]
-    fn require_improvement_abstains_on_smoke_documents() {
-        let doc = BenchDocument {
-            mode: "smoke".to_string(),
-            medians: vec![("dichotomic/speculative/spec1".to_string(), 0.0)],
-        };
-        assert_eq!(
-            require_improvement(&doc, "dichotomic/speculative/spec1", 1.3),
-            Ok(None)
-        );
     }
 
     #[test]

@@ -16,13 +16,7 @@ pub struct ArgList {
 }
 
 /// Flags that take no value (presence/absence switches).
-const BOOLEAN_FLAGS: &[&str] = &[
-    "--cyclic",
-    "--trace",
-    "--repair",
-    "--queue",
-    "--incremental",
-];
+const BOOLEAN_FLAGS: &[&str] = &["--cyclic", "--trace", "--repair", "--queue"];
 
 /// The accepted flags of one subcommand.
 ///

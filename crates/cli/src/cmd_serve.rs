@@ -44,8 +44,6 @@ pub const FLAGS: FlagSpec = FlagSpec {
         "--seed",
         "--floor",
         "--threads",
-        "--speculate",
-        "--incremental",
         "--max-sessions",
         "--capacity",
         "--queue",
@@ -257,12 +255,7 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
 ///
 /// Flags: `--sessions N` (default 8), `--shards K` (default 1), `--receivers R`
 /// (default 4), `--chunks C` (default 60), `--seed S`, `--floor F` (default 0.9),
-/// `--threads T` (flow fan-out per controller), `--speculate N` (dichotomic
-/// speculation depth for every controller's re-solves; a scheduling knob — reports
-/// are bit-identical at any depth, so it also composes with `--resume`),
-/// `--incremental` (warm residual reuse across every controller's re-probes; same
-/// bit-identity contract, also composable with `--resume`),
-/// `--max-sessions N` / `--capacity L` /
+/// `--threads T` (flow fan-out per controller), `--max-sessions N` / `--capacity L` /
 /// `--queue` (admission policy), `--repair-algorithm NAME`, `--churn
 /// START:SPACING:WAVES` (default `4:3:2`), `--fault-plan SPEC` (`storm`,
 /// `storm:SEED`, `off`; unset reads `BMP_FAULT_PLAN`), `--report FILE` (fleet report
@@ -337,19 +330,6 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         "serving {} session(s) across {} shard(s) (receivers {}, chunks {}, seed {:#x}, floor {})",
         config.sessions, config.shards, config.receivers, config.chunks, config.seed, config.floor
     )?;
-    // Speculation is a scheduling knob, not fleet description: it never changes a
-    // session's results, so it composes with --resume and stays out of the
-    // checkpoint. Controllers are built deep inside the shard threads, so the depth
-    // travels via the process default (restored afterwards to keep in-process
-    // callers hermetic).
-    let speculate: usize =
-        args.get_parsed("--speculate", bmp_core::solver::default_speculation())?;
-    let previous_speculation = bmp_core::solver::set_default_speculation(speculate);
-    // Same contract for warm residual reuse: bit-identical reports, so it composes
-    // with --resume and travels to the shard-built controllers via the process
-    // default.
-    let incremental = args.has("--incremental") || bmp_core::solver::default_incremental();
-    let previous_incremental = bmp_core::solver::set_default_incremental(incremental);
     let mut write_error: Option<CliError> = None;
     let outcome = {
         let mut sink = |checkpoint: &FleetCheckpoint| {
@@ -376,8 +356,6 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         };
         run_fleet_with(&config, options)
     };
-    bmp_core::solver::set_default_speculation(previous_speculation);
-    bmp_core::solver::set_default_incremental(previous_incremental);
     if let Some(e) = write_error {
         return Err(e);
     }
@@ -538,33 +516,6 @@ mod tests {
         assert_eq!(one, three, "fleet report must not depend on shard count");
         let csv = std::fs::read_to_string(dir.join("fleet.csv")).unwrap();
         assert_eq!(csv.lines().count(), 5);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn incremental_reuse_does_not_change_the_fleet_report() {
-        let dir = std::env::temp_dir().join(format!("bmp-serve-incr-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
-        let common = |incremental: bool, report: String| {
-            let mut args = vec![
-                "--sessions".to_string(),
-                "4".into(),
-                "--chunks".into(),
-                "24".into(),
-                "--report".into(),
-                report,
-            ];
-            if incremental {
-                args.push("--incremental".into());
-            }
-            run_args(args).unwrap()
-        };
-        common(false, path("cold.json"));
-        common(true, path("warm.json"));
-        let cold = std::fs::read(dir.join("cold.json")).unwrap();
-        let warm = std::fs::read(dir.join("warm.json")).unwrap();
-        assert_eq!(cold, warm, "fleet report must not depend on warm reuse");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -51,8 +51,6 @@ pub const FLAGS: FlagSpec = FlagSpec {
         "--instance",
         "--algorithm",
         "--threads",
-        "--speculate",
-        "--incremental",
         "--chunks",
         "--policy",
         "--seed",
@@ -130,8 +128,6 @@ fn parse_churn(raw: &str, scheme: &BroadcastScheme) -> Result<ChurnSchedule, Cli
 fn load_scheme<W: Write>(
     args: &ArgList,
     threads: usize,
-    speculate: usize,
-    incremental: bool,
     out: &mut W,
 ) -> Result<BroadcastScheme, CliError> {
     match (args.get("--scheme"), args.get("--instance")) {
@@ -151,8 +147,6 @@ fn load_scheme<W: Write>(
             let solver = resolve_algorithm(args.get("--algorithm").unwrap_or("acyclic-guarded"))?;
             let mut ctx = EvalCtx::new();
             ctx.set_parallelism(threads);
-            ctx.set_speculation(speculate);
-            ctx.set_incremental(incremental);
             let solution = solver.solve(&instance, &mut ctx)?;
             writeln!(
                 out,
@@ -319,12 +313,11 @@ fn finish_closed_loop<W: Write>(
         let ctx = controller.ctx();
         writeln!(
             out,
-            "controller telemetry : {} flow solves, {} bisection iters, {} rescans skipped ({} edges patched), {} flows warm-started",
+            "controller telemetry : {} flow solves, {} bisection iters, {} rescans skipped ({} edges patched)",
             ctx.flow_solves(),
             ctx.bisection_iters(),
             ctx.rescans_skipped(),
-            ctx.edges_patched(),
-            ctx.flows_warm_started()
+            ctx.edges_patched()
         )?;
         for decision in controller.decisions() {
             let solver = decision.solver.as_deref().unwrap_or("-");
@@ -358,8 +351,6 @@ fn run_resumed<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
         "--instance",
         "--algorithm",
         "--threads",
-        "--speculate",
-        "--incremental",
         "--chunks",
         "--policy",
         "--seed",
@@ -453,9 +444,7 @@ fn report_outcome<W: Write>(outcome: &SessionOutcome, out: &mut W) -> Result<(),
 /// Runs the `simulate` subcommand.
 ///
 /// Flags: `--scheme FILE` *or* `--instance FILE` (solve first; `--algorithm NAME`
-/// selects the registry solver, `--threads N` its flow fan-out, `--speculate N` its
-/// dichotomic speculation depth, `--incremental` warm residual reuse across its
-/// dichotomic probes — bit-identical results either way), `--chunks N` (default
+/// selects the registry solver, `--threads N` its flow fan-out), `--chunks N` (default
 /// 300), `--policy NAME` (default random), `--seed S`, `--jitter J`, `--live RATE`,
 /// `--trace` (worst-receiver progress every 50 rounds; frozen-overlay runs only),
 /// `--churn SPEC` (scheduled departures/rejoins, e.g. `"5:busiest"` or `"5:3,7;12:+3"`),
@@ -484,20 +473,7 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
             "--threads only applies when solving (--instance) or repairing (--repair)".into(),
         ));
     }
-    let speculate: usize =
-        args.get_parsed("--speculate", bmp_core::solver::default_speculation())?;
-    if args.has("--speculate") && !(args.has("--repair") || args.get("--instance").is_some()) {
-        return Err(CliError::Usage(
-            "--speculate only applies when solving (--instance) or repairing (--repair)".into(),
-        ));
-    }
-    let incremental = args.has("--incremental") || bmp_core::solver::default_incremental();
-    if args.has("--incremental") && !(args.has("--repair") || args.get("--instance").is_some()) {
-        return Err(CliError::Usage(
-            "--incremental only applies when solving (--instance) or repairing (--repair)".into(),
-        ));
-    }
-    let scheme = load_scheme(args, threads, speculate, incremental, out)?;
+    let scheme = load_scheme(args, threads, out)?;
     let nominal = scheme.throughput();
     let overlay = Overlay::from_scheme(&scheme);
 
@@ -571,8 +547,6 @@ pub fn run<W: Write>(args: &ArgList, out: &mut W) -> Result<(), CliError> {
             let mut controller =
                 RepairController::new(scheme.instance().clone(), scheme.clone(), nominal, floor);
             controller.set_parallelism(threads);
-            controller.set_speculation(speculate);
-            controller.set_incremental(incremental);
             controller.set_repair_algorithm(repair_algorithm.map(str::to_string));
             PolicyKind::Repair(Box::new(controller))
         } else {
@@ -801,57 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_repair_run_is_identical_and_warm_starts() {
-        let path = scheme_path();
-        let common = |incremental: bool| {
-            let mut args = vec![
-                "--scheme".to_string(),
-                path.clone(),
-                "--chunks".into(),
-                "150".into(),
-                "--churn".into(),
-                "5:3".into(),
-                "--repair".into(),
-            ];
-            if incremental {
-                args.push("--incremental".into());
-            }
-            run_args(args).unwrap()
-        };
-        let cold = common(false);
-        let warm = common(true);
-        // Warm residual reuse may only change the telemetry counters line — every
-        // decision, swap, goodput and recovery line must match verbatim.
-        let stable = |report: &str| {
-            report
-                .lines()
-                .filter(|line| !line.contains("telemetry"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(stable(&cold), stable(&warm), "--incremental");
-        // And the reuse is observable: the warm run reports warm-started flows.
-        let warm_started = |report: &str| -> u64 {
-            report
-                .lines()
-                .find(|line| line.starts_with("controller telemetry"))
-                .and_then(|line| line.split(',').next_back())
-                .and_then(|cell| cell.trim().split(' ').next())
-                .unwrap()
-                .parse()
-                .unwrap()
-        };
-        // The flagless run stays cold only when the process default is cold (under
-        // BMP_INCREMENTAL=1 both runs warm-start, which the diff above already
-        // proves equivalent).
-        if !bmp_core::solver::default_incremental() {
-            assert_eq!(warm_started(&cold), 0, "{cold}");
-        }
-        assert!(warm_started(&warm) > 0, "{warm}");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
     fn repair_algorithm_flag_pins_the_chain_head() {
         let path = scheme_path();
         let output = run_args(vec![
@@ -952,12 +875,6 @@ mod tests {
                 scheme.clone(),
                 "--threads".into(),
                 "4".into(),
-            ],
-            // --incremental needs a solve (--instance) or a repair loop to act on.
-            vec![
-                "--scheme".to_string(),
-                scheme.clone(),
-                "--incremental".into(),
             ],
             // --repair-algorithm without --repair, and an unknown solver name.
             vec![

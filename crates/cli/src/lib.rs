@@ -35,28 +35,88 @@ pub use error::CliError;
 use args::ArgList;
 use std::io::Write;
 
-/// Usage text printed by `help` and on unknown commands.
-pub const USAGE: &str = "\
-bmp-cli — broadcasting under the bounded multi-port model
+/// Flags accepted by `help` (none).
+const HELP_FLAGS: args::FlagSpec = args::FlagSpec {
+    command: "help",
+    flags: &[],
+};
 
-USAGE: bmp-cli <command> [flags]
+/// Every subcommand with its one-line summary and accepted flags, in help order. The
+/// flag lists in [`usage`] are rendered from these specs — the same tables each
+/// subcommand validates its command line against — so help cannot drift from the
+/// flags the CLI actually accepts.
+const COMMANDS: [(&args::FlagSpec, &str); 9] = [
+    (&cmd_generate::FLAGS, "sample a random platform instance"),
+    (
+        &cmd_bounds::FLAGS,
+        "print closed-form and computed throughput bounds",
+    ),
+    (&cmd_solve::FLAGS, "compute a low-degree broadcast overlay"),
+    (
+        &cmd_verify::FLAGS,
+        "check a scheme's constraints and degrees",
+    ),
+    (
+        &cmd_decompose::FLAGS,
+        "split a scheme into weighted broadcast trees",
+    ),
+    (
+        &cmd_simulate::FLAGS,
+        "run the chunk-level streaming simulator and the closed-loop session engine",
+    ),
+    (
+        &cmd_serve::FLAGS,
+        "run a sharded multi-session broadcast fleet with admission control",
+    ),
+    (&cmd_export::FLAGS, "render a scheme as DOT or CSV"),
+    (&HELP_FLAGS, "print this message (also `--help` / `-h`)"),
+];
 
-COMMANDS:
-  generate   sample a random platform instance          (--receivers, --open-prob, --dist, --seed, --source, --out)
-  bounds     print closed-form and computed throughput bounds  (--instance)
-  solve      compute a low-degree broadcast overlay     (--instance, --algorithm, --cyclic, --tolerance, --out, --dot)
-  verify     check a scheme's constraints and degrees   (--scheme, --throughput)
-  decompose  split a scheme into weighted broadcast trees  (--scheme, --throughput, --message, --out)
-  simulate   run the chunk-level streaming simulator    (--scheme | --instance [--algorithm, --threads], --chunks,
-             and the closed-loop session engine          --policy, --seed, --jitter, --live, --trace,
-                                                         --churn SPEC, --repair, --floor)
-  serve      run a sharded multi-session broadcast fleet  (--sessions, --shards, --receivers, --chunks, --seed,
-             with admission control and fleet metrics     --floor, --threads, --max-sessions, --capacity, --queue,
-                                                          --repair-algorithm, --churn START:SPACING:WAVES,
-                                                          --fault-plan, --report FILE, --csv FILE)
-  export     render a scheme as DOT or CSV              (--scheme, --format, --throughput, --out)
-  help       print this message
+/// Column at which command summaries and flag lists start.
+const HELP_INDENT: usize = 13;
 
+/// Width the flag lists are wrapped to.
+const HELP_WIDTH: usize = 88;
+
+/// Usage text printed by `help`, `--help` and `-h`.
+#[must_use]
+pub fn usage() -> String {
+    let mut text = String::from(
+        "bmp-cli — broadcasting under the bounded multi-port model\n\n\
+         USAGE: bmp-cli <command> [flags]\n\n\
+         COMMANDS:\n",
+    );
+    let indent = " ".repeat(HELP_INDENT);
+    for (spec, summary) in COMMANDS {
+        text.push_str(&format!(
+            "  {:<width$}{summary}\n",
+            spec.command,
+            width = HELP_INDENT - 2
+        ));
+        let mut line = indent.clone();
+        for (i, flag) in spec.flags.iter().enumerate() {
+            let item = if i + 1 < spec.flags.len() {
+                format!("{flag},")
+            } else {
+                (*flag).to_string()
+            };
+            if line.len() > HELP_INDENT && line.len() + 1 + item.len() > HELP_WIDTH {
+                text.push_str(&line);
+                text.push('\n');
+                line.clone_from(&indent);
+            }
+            if line.len() > HELP_INDENT {
+                line.push(' ');
+            }
+            line.push_str(&item);
+        }
+        if line.len() > HELP_INDENT {
+            text.push_str(&line);
+            text.push('\n');
+        }
+    }
+    text.push_str(
+        "
 `solve --algorithm NAME` dispatches any registered solver (acyclic-guarded,
 acyclic-open, cyclic-open, exhaustive, omega-word, auto, tree-decomposition);
 an unknown NAME lists the registry with one-line descriptions. Unrecognized
@@ -66,7 +126,10 @@ flags are rejected with the subcommand's accepted flag list.
 reports delivered goodput; adding `--repair` re-solves the surviving platform
 on every membership change and hot-swaps the repaired overlay mid-broadcast.
 With `--instance` the command solves and simulates in one shot.
-";
+",
+    );
+    text
+}
 
 /// Parses `args` (excluding the binary name) and runs the corresponding subcommand, writing
 /// human-readable output to `out`.
@@ -76,6 +139,10 @@ With `--instance` the command solves and simulates in one shot.
 /// Returns a [`CliError`] describing bad usage, I/O problems or algorithm-level failures; the
 /// binary prints it to stderr and exits with a non-zero status.
 pub fn run<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        out.write_all(usage().as_bytes())?;
+        return Ok(());
+    }
     let parsed = ArgList::parse(args)?;
     match parsed.command.as_str() {
         "generate" => cmd_generate::run(&parsed, out),
@@ -87,11 +154,8 @@ pub fn run<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         "serve" => cmd_serve::run(&parsed, out),
         "export" => cmd_export::run(&parsed, out),
         "help" | "" => {
-            parsed.reject_unknown_flags(&args::FlagSpec {
-                command: "help",
-                flags: &[],
-            })?;
-            out.write_all(USAGE.as_bytes())?;
+            parsed.reject_unknown_flags(&HELP_FLAGS)?;
+            out.write_all(usage().as_bytes())?;
             Ok(())
         }
         other => Err(CliError::Usage(format!(
@@ -115,6 +179,47 @@ mod tests {
     fn help_is_printed_for_empty_and_help_commands() {
         assert!(run_strings(&[]).unwrap().contains("USAGE"));
         assert!(run_strings(&["help"]).unwrap().contains("COMMANDS"));
+    }
+
+    #[test]
+    fn help_lists_every_accepted_flag_of_every_command() {
+        let help = usage();
+        for (spec, _) in COMMANDS {
+            assert!(
+                help.contains(&format!("\n  {} ", spec.command)),
+                "{} missing from help",
+                spec.command
+            );
+            for flag in spec.flags {
+                // Match whole flags only: `--checkpoint` must not pass on the
+                // strength of `--checkpoint-every`.
+                let listed = help
+                    .split(|c: char| c.is_whitespace() || c == ',')
+                    .any(|word| word == *flag);
+                assert!(
+                    listed,
+                    "`{} {flag}` is accepted but not in the help",
+                    spec.command
+                );
+            }
+        }
+        // Every dispatched command has a help entry.
+        for command in [
+            "generate",
+            "bounds",
+            "solve",
+            "verify",
+            "decompose",
+            "simulate",
+            "serve",
+            "export",
+            "help",
+        ] {
+            assert!(
+                COMMANDS.iter().any(|(spec, _)| spec.command == command),
+                "{command} has no help entry"
+            );
+        }
     }
 
     #[test]

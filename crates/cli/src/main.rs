@@ -9,7 +9,9 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
             eprintln!("{error}");
-            eprintln!("run `bmp-cli help` for usage");
+            if matches!(error, bmp_cli::CliError::Usage(_)) {
+                eprintln!("run `bmp-cli help` for usage");
+            }
             ExitCode::FAILURE
         }
     }

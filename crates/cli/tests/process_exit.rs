@@ -1,0 +1,77 @@
+//! Runs the `bmp` binary as a process and checks how it exits: malformed input fails
+//! with a clean non-zero exit and an error message (never an abort), help exits 0, and
+//! the "run `bmp-cli help`" hint follows usage errors only.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn bmp(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_bmp"))
+        .args(args)
+        .output()
+        .expect("the bmp binary runs")
+}
+
+fn stderr(output: &Output) -> String {
+    String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+/// Writes `contents` to a fresh file in the temp directory and returns its path.
+fn temp_file(name: &str, contents: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("bmp-exit-{}-{name}", std::process::id()));
+    std::fs::write(&path, contents).unwrap();
+    path
+}
+
+const USAGE_HINT: &str = "run `bmp-cli help` for usage";
+
+#[test]
+fn deeply_nested_json_is_a_parse_error_not_an_abort() {
+    let path = temp_file("nested.json", &"[".repeat(100_000));
+    let file = path.to_str().unwrap();
+    for args in [["solve", "--instance", file], ["serve", "--resume", file]] {
+        let output = bmp(&args);
+        // An abort (stack overflow) exits through a signal with no exit code.
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {output:?}");
+        let message = stderr(&output);
+        assert!(message.contains("JSON error"), "{args:?}: {message}");
+        assert!(message.contains("recursion limit"), "{args:?}: {message}");
+        assert!(!message.contains(USAGE_HINT), "{args:?}: {message}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn io_errors_do_not_blame_usage() {
+    let missing = std::env::temp_dir().join(format!("bmp-exit-{}-missing", std::process::id()));
+    let output = bmp(&["solve", "--instance", missing.to_str().unwrap()]);
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let message = stderr(&output);
+    assert!(message.contains("I/O error"), "{message}");
+    assert!(!message.contains(USAGE_HINT), "{message}");
+}
+
+#[test]
+fn usage_errors_point_at_help() {
+    let output = bmp(&["solve", "--instnace", "x.json"]);
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let message = stderr(&output);
+    assert!(message.contains("usage error"), "{message}");
+    assert!(message.contains(USAGE_HINT), "{message}");
+}
+
+#[test]
+fn help_flags_exit_zero_with_the_usage() {
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["help"],
+        &["simulate", "--help"],
+        &["serve", "--sessions", "4", "-h"],
+    ] {
+        let output = bmp(args);
+        assert!(output.status.success(), "{args:?}: {output:?}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains("USAGE"), "{args:?}: {stdout}");
+    }
+}

@@ -16,11 +16,7 @@
 //!   delivered throughput drops below a floor. Its probes re-score the same scheme with
 //!   only that node's outgoing rates moving — exactly the access pattern the dirty-edge
 //!   journal of [`BroadcastScheme`] accelerates (the evaluation context patches the few
-//!   journaled capacities instead of rescanning the O(n²) rate matrix per probe), and
-//!   that warm residual reuse ([`EvalCtx::set_incremental`]) accelerates further: the
-//!   retained arena keeps its epoch across probes, so each probe's max-flows start from
-//!   the previous probe's residual instead of a cold Dinic (bit-identical tolerances,
-//!   see `bmp_flow::incremental`).
+//!   journaled capacities instead of rescanning the O(n²) rate matrix per probe).
 
 use crate::acyclic_guarded::{AcyclicGuardedSolver, AcyclicSolution};
 use crate::error::CoreError;
@@ -372,7 +368,6 @@ mod tests {
         let solver = AcyclicGuardedSolver::default();
         let solution = solver.solve(&figure1());
         let mut ctx = EvalCtx::new();
-        ctx.set_journal_enabled(true); // immune to the CI journal-off matrix
         let floor = 0.9 * solution.throughput;
         // The guarded relay C3 carries a large share of the rate: it cannot degrade far
         // before the floor breaks.

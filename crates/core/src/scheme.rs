@@ -57,7 +57,6 @@
 //! nominal.set_rate(1, 2, 1.0);
 //!
 //! let mut ctx = EvalCtx::new();
-//! # ctx.set_journal_enabled(true); // the CI matrix exports BMP_DISABLE_JOURNAL=1
 //! // ONE clone for the whole search, made before the loop. (A clone per probe would
 //! // carry a fresh `eval_id` each time — full rescan on every evaluation.)
 //! let mut probe = nominal.clone();

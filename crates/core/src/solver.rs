@@ -19,10 +19,10 @@
 //!   a stale journal cursor falls back to the scan-plus-rewrite path
 //!   ([`FlowArena::set_edge_capacities`]), and a changed edge list rebuilds the arena.
 //!   The journal fast path is observable as [`Telemetry::rescans_skipped`] /
-//!   [`Telemetry::edges_patched`] and can be disabled per context
-//!   ([`EvalCtx::set_journal_enabled`]) for A/B measurement — or process-wide by
-//!   exporting `BMP_DISABLE_JOURNAL=1` (read once per [`EvalCtx::new`]; the CI matrix
-//!   uses it to keep the scan path covered).
+//!   [`Telemetry::edges_patched`]. It is the only evaluation mode: the scan path runs
+//!   only as its fallback, and a fresh context (which has no journal association yet)
+//!   always scans — which is what makes a fresh `EvalCtx` the test oracle for the
+//!   journaled one.
 //!
 //! # Parallel evaluation
 //!
@@ -33,11 +33,13 @@
 //! thread working a share on the context's own solver. Values **and** the
 //! [`Telemetry`] counters (`flow_solves`, `rescans_skipped`, `edges_patched`) are
 //! bit-for-bit identical to sequential evaluation — the fan-out only changes wall time —
-//! which the conformance suite asserts for every registry solver. `0` selects the
-//! [`bmp_flow::suggested_flow_threads`] heuristic per evaluation; the default of `1`
-//! stays sequential, which is also the right setting inside already-parallel sweeps
-//! (the pool is shared and capped, but the outer fan-out owns the cores — see
-//! `bmp_experiments::parallel::eval_parallelism`).
+//! which the conformance suite asserts for every registry solver. The default of `0`
+//! selects the [`bmp_flow::suggested_flow_threads`] heuristic per evaluation; `1` stays
+//! sequential, which is the right setting inside already-parallel sweeps (the pool is
+//! shared and capped, but the outer fan-out owns the cores — see
+//! `bmp_experiments::parallel::eval_parallelism`). Parallelism is the context's only
+//! evaluation setting: dichotomic searches probe serially and every max-flow is solved
+//! from scratch.
 //!
 //! # Copy-on-probe
 //!
@@ -69,7 +71,7 @@ use crate::exhaustive::optimal_acyclic_exhaustive_traced;
 use crate::faults::{FaultSite, InjectedFaults};
 use crate::omega::{omega1, omega2};
 use crate::scheme::BroadcastScheme;
-use crate::search::{BatchedSearch, DichotomicSearch};
+use crate::search::DichotomicSearch;
 use crate::word::{is_valid_word, CodingWord, Symbol};
 use bmp_flow::{suggested_flow_threads, FlowArena, FlowPool, FlowSolver};
 use bmp_platform::{Instance, NodeId};
@@ -85,30 +87,13 @@ pub struct Telemetry {
     /// Number of per-sink max-flow evaluations requested through the context (batched
     /// evaluations count one per sink, even when the early-exit cap truncates a solve).
     pub flow_solves: u64,
-    /// Number of feasibility probes spent by dichotomic searches. Bit-identical
-    /// between serial and speculative solves: speculative extras are accounted in
-    /// [`Telemetry::probes_speculated`], never here.
+    /// Number of feasibility probes spent by dichotomic searches.
     pub bisection_iters: u64,
-    /// Speculative dichotomic candidates evaluated beyond each round's root (zero on
-    /// serial solves — see [`crate::search::SearchOutcome::probes_speculated`]).
-    pub probes_speculated: u64,
-    /// Evaluated speculative candidates the bracket walk never consumed (the sunk
-    /// cost of losing wagers; at most [`Telemetry::probes_speculated`]).
-    pub probes_wasted: u64,
     /// Number of scheme evaluations that skipped the O(n²) rate-matrix rescan by
     /// consuming the scheme's dirty-edge journal instead.
     pub rescans_skipped: u64,
     /// Total edge capacities patched into the cached arena by journaled evaluations.
     pub edges_patched: u64,
-    /// Per-sink solves that warm-started from a retained residual state instead of
-    /// `load_caps` + Dinic from scratch (zero unless incremental mode is enabled).
-    pub flows_warm_started: u64,
-    /// Warm-started solves answered by the retained flow value alone — no augmentation
-    /// at all (at most [`Telemetry::flows_warm_started`]).
-    pub augment_saved: u64,
-    /// Drain operations performed while applying capacity deltas to warm states
-    /// (committed flow pushed back along reverse residual paths).
-    pub excess_drained: u64,
     /// Wall-clock time of the solve, including verification.
     pub wall_time: Duration,
 }
@@ -132,95 +117,6 @@ pub struct Solution {
     pub scheme: BroadcastScheme,
     /// Cost counters of this solve.
     pub telemetry: Telemetry,
-}
-
-/// Whether `BMP_DISABLE_JOURNAL` requests the scan-based evaluation path (any non-empty
-/// value other than `0`). Read once per context construction.
-fn journal_disabled_by_env() -> bool {
-    std::env::var("BMP_DISABLE_JOURNAL")
-        .map(|value| !value.is_empty() && value != "0")
-        .unwrap_or(false)
-}
-
-/// Speculation depth requested by the `BMP_SPECULATE` environment variable (the same
-/// process-wide override pattern as `BMP_DISABLE_JOURNAL`, read once): unset, empty,
-/// `0` or `off` mean serial search; a positive integer is the depth; any other
-/// non-empty value enables the default depth.
-fn speculation_from_env() -> usize {
-    match std::env::var("BMP_SPECULATE") {
-        Err(_) => 0,
-        Ok(value) => {
-            let value = value.trim().to_ascii_lowercase();
-            if value.is_empty() || value == "0" || value == "off" {
-                0
-            } else {
-                value
-                    .parse::<usize>()
-                    .unwrap_or(crate::search::DEFAULT_SPECULATION_DEPTH)
-            }
-        }
-    }
-}
-
-/// The cell holding the process-wide default speculation depth, initialised from
-/// `BMP_SPECULATE` on first use.
-fn default_speculation_cell() -> &'static std::sync::atomic::AtomicUsize {
-    static CELL: std::sync::OnceLock<std::sync::atomic::AtomicUsize> = std::sync::OnceLock::new();
-    CELL.get_or_init(|| std::sync::atomic::AtomicUsize::new(speculation_from_env()))
-}
-
-/// The process-wide default speculation depth new contexts start from: the
-/// `BMP_SPECULATE` environment override unless [`set_default_speculation`] replaced it.
-#[must_use]
-pub fn default_speculation() -> usize {
-    default_speculation_cell().load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Replaces the process-wide default speculation depth (returning the previous one) —
-/// the programmatic counterpart of `BMP_SPECULATE` behind the CLI's `--speculate N`
-/// flag. Affects contexts constructed *after* the call, which is how one flag reaches
-/// every internally-constructed context (repair controllers, sweep workers, fleet
-/// shards) without threading a parameter through each layer; already-built contexts
-/// keep their depth ([`EvalCtx::set_speculation`] adjusts those).
-pub fn set_default_speculation(depth: usize) -> usize {
-    default_speculation_cell().swap(depth, std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Whether the `BMP_INCREMENTAL` environment variable requests warm residual reuse
-/// (same pattern as `BMP_SPECULATE`, read once): unset, empty, `0` or `off` mean cold
-/// evaluation; any other value enables incremental mode.
-fn incremental_from_env() -> bool {
-    match std::env::var("BMP_INCREMENTAL") {
-        Err(_) => false,
-        Ok(value) => {
-            let value = value.trim().to_ascii_lowercase();
-            !(value.is_empty() || value == "0" || value == "off")
-        }
-    }
-}
-
-/// The cell holding the process-wide default incremental-mode flag, initialised from
-/// `BMP_INCREMENTAL` on first use.
-fn default_incremental_cell() -> &'static std::sync::atomic::AtomicBool {
-    static CELL: std::sync::OnceLock<std::sync::atomic::AtomicBool> = std::sync::OnceLock::new();
-    CELL.get_or_init(|| std::sync::atomic::AtomicBool::new(incremental_from_env()))
-}
-
-/// The process-wide default incremental-evaluation flag new contexts start from: the
-/// `BMP_INCREMENTAL` environment override unless [`set_default_incremental`] replaced it.
-#[must_use]
-pub fn default_incremental() -> bool {
-    default_incremental_cell().load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Replaces the process-wide default incremental-evaluation flag (returning the
-/// previous one) — the programmatic counterpart of `BMP_INCREMENTAL` behind the CLI's
-/// `--incremental` flag, reaching every internally-constructed context (repair
-/// controllers, sweep workers, fleet shards) the same way
-/// [`set_default_speculation`] does. Already-built contexts keep their setting
-/// ([`EvalCtx::set_incremental`] adjusts those).
-pub fn set_default_incremental(enabled: bool) -> bool {
-    default_incremental_cell().swap(enabled, std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Association between the cached arena and the scheme object it was last pointed at:
@@ -267,22 +163,9 @@ pub struct EvalCtx {
     explicit_nodes: usize,
     /// Endpoints of the cached explicit arena's edges, in edge order.
     explicit_edges: Vec<(NodeId, NodeId)>,
-    /// Chicken bit: `false` forces the PR-2 scan-based path (for A/B benchmarks).
-    journal_enabled: bool,
     /// Fan-out of `throughput` evaluations: `0` the per-evaluation size heuristic
     /// (default), `1` sequential, `> 1` dispatch onto the shared worker pool.
     parallelism: usize,
-    /// Speculation depth of dichotomic solves: `0` (serial) unless `BMP_SPECULATE` /
-    /// [`set_default_speculation`] raised the process default or
-    /// [`EvalCtx::set_speculation`] set it here.
-    speculation: usize,
-    /// Warm residual reuse across evaluations: `false` (cold) unless
-    /// `BMP_INCREMENTAL` / [`set_default_incremental`] raised the process default or
-    /// [`EvalCtx::set_incremental`] set it here. Values are bit-identical either way
-    /// (see `bmp_flow::incremental`); only wall time and the warm counters move.
-    incremental: bool,
-    /// Warm residual states for incremental evaluation, keyed by arena epoch.
-    warm_cache: bmp_flow::WarmFlowCache,
     scratch_edges: Vec<(NodeId, NodeId, f64)>,
     scratch_filtered: Vec<(NodeId, NodeId, f64)>,
     scratch_caps: Vec<f64>,
@@ -298,15 +181,10 @@ pub struct EvalCtx {
     warm_start_lower: Option<f64>,
     flow_solves: u64,
     bisection_iters: u64,
-    probes_speculated: u64,
-    probes_wasted: u64,
     arena_builds: u64,
     arena_updates: u64,
     rescans_skipped: u64,
     edges_patched: u64,
-    flows_warm_started: u64,
-    augment_saved: u64,
-    excess_drained: u64,
 }
 
 impl Default for EvalCtx {
@@ -328,16 +206,6 @@ impl EvalCtx {
     }
 
     /// Creates a context whose dichotomic searches use relative precision `tolerance`.
-    ///
-    /// The dirty-edge journal starts enabled unless the `BMP_DISABLE_JOURNAL`
-    /// environment variable is set to a non-empty value other than `0` — the
-    /// process-wide kill switch the CI matrix uses to keep the scan-based path covered.
-    /// [`EvalCtx::set_journal_enabled`] overrides either way. The speculation depth
-    /// starts at the process default (the `BMP_SPECULATE` environment variable unless
-    /// [`set_default_speculation`] replaced it — the same override pattern, used by
-    /// the CI speculation matrix); [`EvalCtx::set_speculation`] overrides per context.
-    /// Solutions, throughputs and serial probe counts are bit-identical at every
-    /// depth, both journal modes — only wall time and the speculation counters move.
     #[must_use]
     pub fn with_tolerance(tolerance: f64) -> Self {
         EvalCtx {
@@ -351,11 +219,7 @@ impl EvalCtx {
             explicit_arena: None,
             explicit_nodes: 0,
             explicit_edges: Vec::new(),
-            journal_enabled: !journal_disabled_by_env(),
             parallelism: 0,
-            speculation: default_speculation(),
-            incremental: default_incremental(),
-            warm_cache: bmp_flow::WarmFlowCache::new(),
             scratch_edges: Vec::new(),
             scratch_filtered: Vec::new(),
             scratch_caps: Vec::new(),
@@ -366,15 +230,10 @@ impl EvalCtx {
             warm_start_lower: None,
             flow_solves: 0,
             bisection_iters: 0,
-            probes_speculated: 0,
-            probes_wasted: 0,
             arena_builds: 0,
             arena_updates: 0,
             rescans_skipped: 0,
             edges_patched: 0,
-            flows_warm_started: 0,
-            augment_saved: 0,
-            excess_drained: 0,
         }
     }
 
@@ -435,93 +294,6 @@ impl EvalCtx {
         self.bisection_iters += probes;
     }
 
-    /// Records the speculative side of a search outcome: `speculated` extra candidates
-    /// evaluated, of which `wasted` were never consumed. Kept apart from
-    /// [`EvalCtx::add_bisection_iters`] so serial probe accounting stays bit-identical
-    /// between speculative and serial solves.
-    pub fn add_speculation(&mut self, speculated: u64, wasted: u64) {
-        self.probes_speculated += speculated;
-        self.probes_wasted += wasted;
-    }
-
-    /// Sets the speculation depth of this context's dichotomic solves: `0` (serial)
-    /// probes strictly one midpoint at a time; `depth >= 1` evaluates each round's
-    /// candidate tree of `2^(depth+1) - 1` midpoints concurrently on the shared worker
-    /// pool and walks it in serial order (see the module docs of
-    /// [`crate::search`]). Solutions, throughputs and serial probe counts are
-    /// bit-identical at every depth; only wall time and the speculation counters move.
-    pub fn set_speculation(&mut self, depth: usize) {
-        self.speculation = depth;
-    }
-
-    /// The configured speculation depth (`0` = serial search).
-    #[must_use]
-    pub fn speculation(&self) -> usize {
-        self.speculation
-    }
-
-    /// Enables or disables warm residual reuse (incremental max-flow) for this
-    /// context's evaluations. When enabled, per-sink solves retain their residual
-    /// capacities per `(arena epoch, source, sink)` and the next probe applies the
-    /// capacity delta in place instead of `load_caps` + Dinic from scratch (see
-    /// `bmp_flow::incremental`). Verdicts, brackets, probe counts and solutions are
-    /// bit-identical either way; only wall time and the
-    /// [`EvalCtx::flows_warm_started`] / [`EvalCtx::augment_saved`] /
-    /// [`EvalCtx::excess_drained`] counters move. Certification always re-evaluates
-    /// cold regardless of this setting.
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.incremental = enabled;
-        if !enabled {
-            self.warm_cache.clear();
-        }
-    }
-
-    /// Whether warm residual reuse is enabled. On a fresh context this reflects the
-    /// process default (`BMP_INCREMENTAL` unless [`set_default_incremental`] replaced
-    /// it).
-    #[must_use]
-    pub fn incremental(&self) -> bool {
-        self.incremental
-    }
-
-    /// Per-sink solves that warm-started from a retained residual state.
-    #[must_use]
-    pub fn flows_warm_started(&self) -> u64 {
-        self.flows_warm_started
-    }
-
-    /// Warm-started solves answered by the retained value alone (no augmentation).
-    #[must_use]
-    pub fn augment_saved(&self) -> u64 {
-        self.augment_saved
-    }
-
-    /// Drain operations performed while applying capacity deltas to warm states.
-    #[must_use]
-    pub fn excess_drained(&self) -> u64 {
-        self.excess_drained
-    }
-
-    /// Folds the warm cache's per-evaluation counters into the context totals.
-    fn drain_warm_stats(&mut self) {
-        let stats = self.warm_cache.stats.take();
-        self.flows_warm_started += stats.flows_warm_started;
-        self.augment_saved += stats.augment_saved;
-        self.excess_drained += stats.excess_drained;
-    }
-
-    /// Total speculative candidates evaluated so far (beyond each round's root).
-    #[must_use]
-    pub fn probes_speculated(&self) -> u64 {
-        self.probes_speculated
-    }
-
-    /// Total evaluated speculative candidates never consumed by a bracket walk.
-    #[must_use]
-    pub fn probes_wasted(&self) -> u64 {
-        self.probes_wasted
-    }
-
     /// Total per-sink max-flow evaluations requested so far.
     #[must_use]
     pub fn flow_solves(&self) -> u64 {
@@ -559,28 +331,6 @@ impl EvalCtx {
         self.edges_patched
     }
 
-    /// Enables or disables the dirty-edge-journal fast path (enabled by default, unless
-    /// the `BMP_DISABLE_JOURNAL` environment variable turned it off at construction).
-    ///
-    /// With the journal disabled every scheme evaluation takes the scan-based path
-    /// (edge-list rescan plus in-place capacity rewrite or rebuild) — the PR-2 behaviour,
-    /// kept addressable so benchmarks can measure the journal's win and operators have a
-    /// kill switch. Results are identical either way.
-    pub fn set_journal_enabled(&mut self, enabled: bool) {
-        self.journal_enabled = enabled;
-        if !enabled {
-            self.journal_assoc = None;
-        }
-    }
-
-    /// Whether the dirty-edge-journal fast path is currently enabled. On a fresh
-    /// context this reflects the `BMP_DISABLE_JOURNAL` environment variable, so tests
-    /// and sweeps can consult it instead of re-parsing the variable themselves.
-    #[must_use]
-    pub fn journal_enabled(&self) -> bool {
-        self.journal_enabled
-    }
-
     /// Sets the fan-out of [`EvalCtx::throughput`] evaluations (see the module docs):
     /// `0` (the default) picks per evaluation via
     /// [`bmp_flow::suggested_flow_threads`] (sequential for small instances, pooled at
@@ -609,6 +359,42 @@ impl EvalCtx {
         self.parallelism
     }
 
+    /// Whether scheme evaluations ride the dirty-edge journal. Fixed at `true`.
+    #[must_use]
+    pub fn journal_enabled(&self) -> bool {
+        true
+    }
+
+    /// Speculation depth of dichotomic searches. Fixed at `0`: searches probe serially.
+    #[must_use]
+    pub fn speculation(&self) -> usize {
+        0
+    }
+
+    /// Whether max-flows warm-start from retained residual states. Fixed at `false`.
+    #[must_use]
+    pub fn incremental(&self) -> bool {
+        false
+    }
+
+    /// Max-flows warm-started from a retained residual state. Fixed at `0`.
+    #[must_use]
+    pub fn flows_warm_started(&self) -> u64 {
+        0
+    }
+
+    /// Speculative dichotomic probes evaluated. Fixed at `0`.
+    #[must_use]
+    pub fn probes_speculated(&self) -> u64 {
+        0
+    }
+
+    /// Speculative dichotomic probes evaluated and discarded. Fixed at `0`.
+    #[must_use]
+    pub fn probes_wasted(&self) -> u64 {
+        0
+    }
+
     /// Throughput of `scheme` (`min_k maxflow(source → C_k)`), evaluated through the
     /// retained arena (journal-patched when possible, see the type docs) at the
     /// configured parallelism ([`EvalCtx::set_parallelism`]; sequential by default).
@@ -621,19 +407,6 @@ impl EvalCtx {
     /// Same journal fast path, same telemetry, bit-identical value.
     pub fn throughput_parallel(&mut self, scheme: &BroadcastScheme, threads: usize) -> f64 {
         self.throughput_with_threads(scheme, threads)
-    }
-
-    /// [`EvalCtx::throughput`] with warm residual reuse forced off for this one
-    /// evaluation — the certification path: a verified `Solution`'s throughput must
-    /// come from a from-scratch solve regardless of the context's incremental setting
-    /// (warm reuse is bit-identical anyway; this keeps the certificate independent of
-    /// the warm machinery by construction).
-    pub fn throughput_cold(&mut self, scheme: &BroadcastScheme) -> f64 {
-        let was_incremental = self.incremental;
-        self.incremental = false;
-        let value = self.throughput_with_threads(scheme, self.parallelism);
-        self.incremental = was_incremental;
-        value
     }
 
     fn throughput_with_threads(&mut self, scheme: &BroadcastScheme, threads: usize) -> f64 {
@@ -652,27 +425,10 @@ impl EvalCtx {
             // on this context's own solver; every worker clone is dropped before the
             // call returns, so the retained arena stays uniquely owned (in-place
             // journal patches keep working without a copy).
-            if self.incremental {
-                FlowPool::global().min_max_flow_warm_with(
-                    &mut self.solver,
-                    arena,
-                    0,
-                    &sinks,
-                    threads,
-                    &mut self.warm_cache,
-                )
-            } else {
-                FlowPool::global().min_max_flow_with(&mut self.solver, arena, 0, &sinks, threads)
-            }
-        } else if self.incremental {
-            self.solver
-                .min_max_flow_warm(arena, 0, &sinks, &mut self.warm_cache)
+            FlowPool::global().min_max_flow_with(&mut self.solver, arena, 0, &sinks, threads)
         } else {
             self.solver.min_max_flow(arena, 0, &sinks)
         };
-        if self.incremental {
-            self.drain_warm_stats();
-        }
         self.scratch_sinks = sinks;
         value
     }
@@ -711,35 +467,11 @@ impl EvalCtx {
             0 => suggested_flow_threads(num_nodes, sinks.len()),
             explicit => explicit,
         };
-        let value = if threads > 1 {
-            if self.incremental {
-                FlowPool::global().min_max_flow_warm_with(
-                    &mut self.solver,
-                    arena,
-                    source,
-                    sinks,
-                    threads,
-                    &mut self.warm_cache,
-                )
-            } else {
-                FlowPool::global().min_max_flow_with(
-                    &mut self.solver,
-                    arena,
-                    source,
-                    sinks,
-                    threads,
-                )
-            }
-        } else if self.incremental {
-            self.solver
-                .min_max_flow_warm(arena, source, sinks, &mut self.warm_cache)
+        if threads > 1 {
+            FlowPool::global().min_max_flow_with(&mut self.solver, arena, source, sinks, threads)
         } else {
             self.solver.min_max_flow(arena, source, sinks)
-        };
-        if self.incremental {
-            self.drain_warm_stats();
         }
-        value
     }
 
     /// Like [`EvalCtx::min_max_flow`], but the edge list is produced by `fill` into a
@@ -770,20 +502,18 @@ impl EvalCtx {
     /// the cached arena is current for this scheme object's edge set, the scan-based
     /// [`EvalCtx::prepare_arena`] path otherwise.
     fn ensure_scheme_arena(&mut self, scheme: &BroadcastScheme) {
-        if self.journal_enabled && self.try_patch_from_journal(scheme) {
+        if self.try_patch_from_journal(scheme) {
             return;
         }
         let mut edges = std::mem::take(&mut self.scratch_edges);
         scheme.edges_into(&mut edges);
         self.prepare_arena(scheme.instance().num_nodes(), &edges);
         self.scratch_edges = edges;
-        if self.journal_enabled {
-            self.journal_assoc = Some(JournalAssoc {
-                scheme_id: scheme.eval_id(),
-                epoch: scheme.edge_epoch(),
-                cursor: scheme.journal_bounds().1,
-            });
-        }
+        self.journal_assoc = Some(JournalAssoc {
+            scheme_id: scheme.eval_id(),
+            epoch: scheme.edge_epoch(),
+            cursor: scheme.journal_bounds().1,
+        });
     }
 
     /// Attempts the journal fast path: applicable iff the cached arena belongs to this
@@ -910,68 +640,6 @@ impl EvalCtx {
     }
 }
 
-/// Optimal guarded-acyclic throughput of many independent instances, their dichotomic
-/// probes interleaved into shared pool passes: one [`BatchedSearch`] round gathers the
-/// pending probe of every unfinished cell and evaluates them as a single
-/// [`FlowPool::probe_batch`] (fair-share tickets — batching is not speculation), so
-/// `n` cells bisecting `k` steps cost `~k` batched pool passes instead of `n·k`
-/// serial probe latencies. This is the cross-instance evaluation shape the experiment
-/// sweeps fan out over `parallel_map_with`, turned inside out for the regime where
-/// the *probes*, not the cells, should own the pool lanes.
-///
-/// Returns one `(throughput, word, probes)` triple per instance, bit-identical —
-/// value, word and probe count — to running
-/// [`AcyclicGuardedSolver::optimal_throughput_traced`] on each instance alone (the
-/// lockstep driver's per-cell determinism contract, see [`crate::search`]).
-///
-/// `lanes` is the pool fan-out per batched round; `0` picks the machine's available
-/// parallelism (capped just above the pool size), which degenerates to the plain
-/// sequential per-cell loop on a single-core host.
-#[must_use]
-pub fn batched_guarded_throughputs(
-    instances: &[Instance],
-    tolerance: f64,
-    lanes: usize,
-) -> Vec<(f64, CodingWord, u64)> {
-    let solver = AcyclicGuardedSolver::with_tolerance(tolerance);
-    let uppers: Vec<f64> = instances.iter().map(cyclic_upper_bound).collect();
-    let pool = FlowPool::global();
-    let lanes = if lanes == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(pool.max_workers() + 1)
-    } else {
-        lanes
-    };
-    let shared: Arc<Vec<Instance>> = Arc::new(instances.to_vec());
-    let probe: bmp_flow::ProbeFn = {
-        let instances = Arc::clone(&shared);
-        Arc::new(move |cell, t| solver.is_feasible(&instances[cell as usize], t))
-    };
-    let outcomes =
-        BatchedSearch::new(solver.search()).maximize_many(&uppers, |requests, verdicts| {
-            pool.probe_batch(
-                &probe,
-                requests,
-                lanes,
-                bmp_flow::TicketClass::FairShare,
-                verdicts,
-            );
-        });
-    outcomes
-        .iter()
-        .zip(instances)
-        .map(|(outcome, instance)| {
-            let word = crate::greedy::greedy_test(instance, outcome.value)
-                .word()
-                .cloned()
-                .unwrap_or_default();
-            (outcome.value, word, outcome.probes)
-        })
-        .collect()
-}
-
 /// Certifies that `scheme` delivers at least `claimed` by max-flow through `ctx` and
 /// returns the measured throughput — the shared flow-certification stage of the
 /// experiment sweeps (Figure 7 worst cells, Figure 19 spot checks, depth profiling).
@@ -981,7 +649,7 @@ pub fn batched_guarded_throughputs(
 /// Panics when the scheme under-delivers beyond a `1e-6` relative tolerance: an
 /// under-delivering scheme is a solver bug, not a data point.
 pub fn certify_throughput(ctx: &mut EvalCtx, scheme: &BroadcastScheme, claimed: f64) -> f64 {
-    let achieved = ctx.throughput_cold(scheme);
+    let achieved = ctx.throughput(scheme);
     assert!(
         achieved + 1e-6 * claimed.max(1.0) >= claimed,
         "certification failed: scheme delivers {achieved} < claimed {claimed}"
@@ -1021,13 +689,8 @@ pub struct SolveRecorder {
     started: Instant,
     flow_solves: u64,
     bisection_iters: u64,
-    probes_speculated: u64,
-    probes_wasted: u64,
     rescans_skipped: u64,
     edges_patched: u64,
-    flows_warm_started: u64,
-    augment_saved: u64,
-    excess_drained: u64,
 }
 
 impl SolveRecorder {
@@ -1038,13 +701,8 @@ impl SolveRecorder {
             started: Instant::now(),
             flow_solves: ctx.flow_solves,
             bisection_iters: ctx.bisection_iters,
-            probes_speculated: ctx.probes_speculated,
-            probes_wasted: ctx.probes_wasted,
             rescans_skipped: ctx.rescans_skipped,
             edges_patched: ctx.edges_patched,
-            flows_warm_started: ctx.flows_warm_started,
-            augment_saved: ctx.augment_saved,
-            excess_drained: ctx.excess_drained,
         }
     }
 
@@ -1057,13 +715,8 @@ impl SolveRecorder {
         Telemetry {
             flow_solves: ctx.flow_solves - self.flow_solves,
             bisection_iters: ctx.bisection_iters - self.bisection_iters,
-            probes_speculated: ctx.probes_speculated - self.probes_speculated,
-            probes_wasted: ctx.probes_wasted - self.probes_wasted,
             rescans_skipped: ctx.rescans_skipped - self.rescans_skipped,
             edges_patched: ctx.edges_patched - self.edges_patched,
-            flows_warm_started: ctx.flows_warm_started - self.flows_warm_started,
-            augment_saved: ctx.augment_saved - self.augment_saved,
-            excess_drained: ctx.excess_drained - self.excess_drained,
             wall_time: self.started.elapsed(),
         }
     }
@@ -1090,9 +743,7 @@ impl SolveRecorder {
                 occurrence,
             });
         }
-        // Certification stays a from-scratch solve: the verified throughput never
-        // depends on warm residual state, whatever the context's incremental setting.
-        let achieved = ctx.throughput_cold(&scheme);
+        let achieved = ctx.throughput(&scheme);
         let verify_fault = ctx.intercept_fault(FaultSite::Verify).is_some();
         if verify_fault || achieved + VERIFY_TOL * throughput.max(1.0) < throughput {
             return Err(CoreError::VerificationFailed {
@@ -1130,15 +781,7 @@ impl Solver for AcyclicGuardedAlgorithm {
         let recorder = SolveRecorder::start(ctx);
         let legacy = AcyclicGuardedSolver::with_tolerance(ctx.tolerance());
         let hint = ctx.take_warm_start_lower().unwrap_or(0.0);
-        let (throughput, word, probes) = match ctx.speculation() {
-            0 => legacy.optimal_throughput_traced_from(hint, instance),
-            depth => {
-                let (throughput, word, outcome) =
-                    legacy.optimal_throughput_traced_spec(hint, instance, depth);
-                ctx.add_speculation(outcome.probes_speculated, outcome.probes_wasted);
-                (throughput, word, outcome.probes)
-            }
-        };
+        let (throughput, word, probes) = legacy.optimal_throughput_traced_from(hint, instance);
         ctx.add_bisection_iters(probes);
         let scheme = if throughput <= 0.0 {
             BroadcastScheme::new(instance.clone())
@@ -1262,39 +905,7 @@ impl Solver for OmegaWordAlgorithm {
             omega2(instance.n(), instance.m()),
             omega1(instance.n(), instance.m()),
         ] {
-            let outcome = match ctx.speculation() {
-                0 => search.maximize(upper, |t| is_valid_word(instance, t, &word)),
-                depth => {
-                    // The probe is the pure word-validity predicate, so the
-                    // speculative walk returns the serial bracket sequence
-                    // bit-for-bit; the closure Arcs its own instance + word clones
-                    // because pool workers outlive the call.
-                    let shared = Arc::new((instance.clone(), word.clone()));
-                    let probe: bmp_flow::ProbeFn = {
-                        let shared = Arc::clone(&shared);
-                        Arc::new(move |_, t| is_valid_word(&shared.0, t, &shared.1))
-                    };
-                    let pool = FlowPool::global();
-                    let mut tagged: Vec<(u64, f64)> = Vec::new();
-                    let outcome = search.maximize_speculative(
-                        upper,
-                        depth,
-                        |candidates, verdicts: &mut Vec<bool>| {
-                            tagged.clear();
-                            tagged.extend(candidates.iter().map(|&t| (0u64, t)));
-                            pool.probe_batch(
-                                &probe,
-                                &tagged,
-                                candidates.len(),
-                                bmp_flow::TicketClass::Speculative,
-                                verdicts,
-                            );
-                        },
-                    );
-                    ctx.add_speculation(outcome.probes_speculated, outcome.probes_wasted);
-                    outcome
-                }
-            };
+            let outcome = search.maximize(upper, |t| is_valid_word(instance, t, &word));
             ctx.add_bisection_iters(outcome.probes);
             if outcome.value >= best.0 {
                 best = (outcome.value, word);
@@ -1419,9 +1030,6 @@ mod tests {
     fn eval_ctx_patches_journaled_rates_without_rescans() {
         let instance = figure1();
         let mut ctx = EvalCtx::new();
-        // Explicitly, not by default: the CI matrix runs the suite with
-        // BMP_DISABLE_JOURNAL=1, and this test asserts journal-on behaviour.
-        ctx.set_journal_enabled(true);
         let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
         let mut scheme = solution.scheme;
         // The solve's own verification built the arena for this scheme object; every
@@ -1445,29 +1053,33 @@ mod tests {
     }
 
     #[test]
-    fn disabled_journal_restores_the_scan_based_path() {
+    fn scan_fallback_matches_the_journaled_path() {
         let instance = figure1();
         let mut ctx = EvalCtx::new();
-        ctx.set_journal_enabled(false);
         let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
         let mut scheme = solution.scheme;
-        let updates_before = ctx.arena_updates();
         let (from, to, rate) = scheme.edges()[0];
         scheme.set_rate(from, to, rate * 0.5);
-        let scanned = ctx.throughput(&scheme);
-        // Same edge set, journal disabled: the endpoint-comparison rewrite path runs.
+        let journaled = ctx.throughput(&scheme);
+        assert!(ctx.rescans_skipped() > 0);
+        // A fresh context has no journal association, so it scans the rate matrix.
+        let mut fresh = EvalCtx::new();
+        assert_eq!(fresh.throughput(&scheme), journaled);
+        assert_eq!(fresh.rescans_skipped(), 0);
+        // A clone is a new scheme object with the same edge set: the context falls back
+        // to the endpoint-comparison rewrite of the cached arena, not the journal.
+        let copy = scheme.clone();
+        let updates_before = ctx.arena_updates();
+        let skips_before = ctx.rescans_skipped();
+        assert_eq!(ctx.throughput(&copy), journaled);
         assert_eq!(ctx.arena_updates(), updates_before + 1);
-        assert_eq!(ctx.rescans_skipped(), 0);
-        let mut journaled = EvalCtx::new();
-        let _ = journaled.throughput(&scheme);
-        assert_eq!(scanned, journaled.throughput(&scheme));
+        assert_eq!(ctx.rescans_skipped(), skips_before);
     }
 
     #[test]
     fn journal_association_is_per_object_and_survives_divergence() {
         let instance = figure1();
         let mut ctx = EvalCtx::new();
-        ctx.set_journal_enabled(true); // immune to the CI journal-off matrix
         let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
         let mut a = solution.scheme;
         let _ = ctx.throughput(&a);
@@ -1493,7 +1105,6 @@ mod tests {
     fn interleaved_explicit_edge_evaluations_keep_the_scheme_association() {
         let instance = figure1();
         let mut ctx = EvalCtx::new();
-        ctx.set_journal_enabled(true); // immune to the CI journal-off matrix
         let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
         let mut scheme = solution.scheme;
         let _ = ctx.throughput(&scheme);
@@ -1587,7 +1198,6 @@ mod tests {
     fn pooled_evaluation_keeps_the_retained_arena_patchable() {
         let instance = figure1();
         let mut ctx = EvalCtx::new();
-        ctx.set_journal_enabled(true); // immune to the CI journal-off matrix
         ctx.set_parallelism(4);
         let solution = AcyclicGuardedAlgorithm.solve(&instance, &mut ctx).unwrap();
         let mut scheme = solution.scheme;

@@ -9,9 +9,9 @@ use bmp_core::churn::degradation_tolerance;
 use bmp_core::cyclic_open::cyclic_open_optimal_scheme;
 use bmp_core::exhaustive::optimal_acyclic_exhaustive;
 use bmp_core::omega::best_omega_throughput;
-use bmp_core::search::DichotomicSearch;
+use bmp_core::scheme::RATE_EPS;
 use bmp_core::solver::{registry, EvalCtx, SolveRecorder};
-use bmp_core::CoreError;
+use bmp_core::{BroadcastScheme, CoreError};
 use bmp_platform::paper::{figure1, figure11, figure14};
 use bmp_platform::Instance;
 use proptest::prelude::*;
@@ -159,16 +159,36 @@ fn trait_impls_match_legacy_entry_points() {
     }
 }
 
+/// [`degradation_tolerance`] with every probe scored by a fresh context: a fresh
+/// `EvalCtx` has no journal association, so each evaluation scans the rate matrix. The
+/// scan-path oracle the journaled search must reproduce exactly.
+fn scanned_degradation_tolerance(scheme: &BroadcastScheme, node: usize, floor: f64) -> f64 {
+    let out_edges: Vec<(usize, f64)> = (0..scheme.instance().num_nodes())
+        .filter_map(|to| {
+            let rate = scheme.rate(node, to);
+            (to != node && rate > RATE_EPS).then_some((to, rate))
+        })
+        .collect();
+    let mut probe = scheme.clone();
+    let tol = 1e-9 * floor.max(1.0);
+    EvalCtx::new()
+        .search()
+        .maximize(1.0, |degradation| {
+            for &(to, rate) in &out_edges {
+                probe.set_rate(node, to, rate * (1.0 - degradation));
+            }
+            EvalCtx::new().throughput(&probe) + tol >= floor
+        })
+        .value
+}
+
 /// Every registry solver's solution, re-probed by the dichotomic degradation search:
 /// the probes re-score near-identical schemes through the shared context, so every run
 /// must ride the dirty-edge journal — `rescans_skipped > 0` in its [`Telemetry`] — and
-/// agree exactly with a journal-free context.
+/// agree exactly with fresh-context (scan path) probes.
 #[test]
 fn every_solver_dichotomic_reprobe_rides_the_journal() {
     let mut ctx = EvalCtx::new();
-    // Explicitly, not by default: the CI matrix runs this suite with
-    // BMP_DISABLE_JOURNAL=1, and this test asserts journal-on behaviour.
-    ctx.set_journal_enabled(true);
     for solver in registry() {
         let mut reprobed = 0usize;
         for instance in corpus() {
@@ -198,13 +218,11 @@ fn every_solver_dichotomic_reprobe_rides_the_journal() {
                 "{}: no probes recorded",
                 solver.name()
             );
-            // The journaled probes must reproduce the journal-free result exactly.
-            let mut scan_ctx = EvalCtx::new();
-            scan_ctx.set_journal_enabled(false);
-            let scanned = degradation_tolerance(&solution.scheme, 0, floor, &mut scan_ctx);
+            // The journaled probes must reproduce the scan-path result exactly.
+            let scanned = scanned_degradation_tolerance(&solution.scheme, 0, floor);
             assert_eq!(
-                tolerance,
-                scanned,
+                tolerance.to_bits(),
+                scanned.to_bits(),
                 "{}: journaled and scan-based probes disagree",
                 solver.name()
             );
@@ -214,6 +232,104 @@ fn every_solver_dichotomic_reprobe_rides_the_journal() {
             reprobed >= 2,
             "{} re-probed only {reprobed} corpus instances",
             solver.name()
+        );
+    }
+}
+
+/// Asserts that `ctx` scores `scheme` bit-identically to a fresh context (which has no
+/// journal association and so scans the rate matrix), and reports whether `ctx` took
+/// the journal path to get there.
+fn matches_fresh_oracle(ctx: &mut EvalCtx, scheme: &BroadcastScheme, what: &str) -> bool {
+    let skips_before = ctx.rescans_skipped();
+    let journaled = ctx.throughput(scheme);
+    let fresh = EvalCtx::new().throughput(scheme);
+    assert_eq!(
+        journaled.to_bits(),
+        fresh.to_bits(),
+        "{what}: {journaled} vs {fresh}"
+    );
+    ctx.rescans_skipped() > skips_before
+}
+
+/// Every registry solver, run through one long-lived journaled context, must match a
+/// fresh-context oracle bit for bit: the solution itself, then a working copy of its
+/// scheme re-scored through capacity-only perturbations (journal patches), an edge-set
+/// change (epoch bump, scan fallback) and a journal compaction — both a compaction the
+/// context had caught up with (it keeps patching) and one that swallowed entries it
+/// never saw (it falls back to a scan).
+#[test]
+fn every_solver_journaled_ctx_equals_a_fresh_oracle() {
+    let mut ctx = EvalCtx::new();
+    for solver in registry() {
+        let name = solver.name();
+        let mut exercised = 0usize;
+        for instance in corpus() {
+            let journaled = solver.solve(&instance, &mut ctx);
+            let fresh = solver.solve(&instance, &mut EvalCtx::new());
+            let (Ok(journaled), Ok(fresh)) = (journaled, fresh) else {
+                continue;
+            };
+            assert_eq!(
+                journaled.throughput.to_bits(),
+                fresh.throughput.to_bits(),
+                "{name}"
+            );
+            assert_eq!(
+                journaled.verified_throughput.to_bits(),
+                fresh.verified_throughput.to_bits(),
+                "{name}"
+            );
+            assert_eq!(journaled.word, fresh.word, "{name}");
+            assert_eq!(journaled.scheme, fresh.scheme, "{name}");
+            let edges = journaled.scheme.edges();
+            if edges.len() < 2 {
+                continue;
+            }
+            let mut probe = journaled.scheme.clone();
+            matches_fresh_oracle(&mut ctx, &probe, name);
+            // Capacity-only changes ride the journal.
+            for step in 1..=3 {
+                let (from, to, rate) = edges[step % edges.len()];
+                probe.set_rate(from, to, rate * (1.0 - 0.2 * step as f64));
+                assert!(
+                    matches_fresh_oracle(&mut ctx, &probe, name),
+                    "{name}: a capacity-only change missed the journal"
+                );
+            }
+            // Removing an edge bumps the epoch: the context must scan, not patch.
+            let (from, to, _) = edges[0];
+            probe.set_rate(from, to, 0.0);
+            assert!(
+                !matches_fresh_oracle(&mut ctx, &probe, name),
+                "{name}: an epoch bump was patched from the journal"
+            );
+            // Fill the journal to its capacity while staying caught up, then compact it
+            // with one more write: the cursor still lies inside the live journal.
+            let (from, to, rate) = edges[1];
+            let capacity = (4 * instance.num_nodes()).max(256);
+            for k in 0..capacity {
+                probe.set_rate(from, to, rate * (0.5 + 0.4 * (k % 7) as f64 / 7.0));
+            }
+            matches_fresh_oracle(&mut ctx, &probe, name);
+            probe.set_rate(from, to, rate * 0.45);
+            assert!(
+                matches_fresh_oracle(&mut ctx, &probe, name),
+                "{name}: a caught-up context lost the journal at compaction"
+            );
+            // Overflow the journal between two evaluations: the entries the context never
+            // saw were compacted away, so it must fall back to a scan.
+            for k in 0..=capacity {
+                probe.set_rate(from, to, rate * (0.5 + 0.4 * (k % 5) as f64 / 5.0));
+            }
+            assert!(
+                !matches_fresh_oracle(&mut ctx, &probe, name),
+                "{name}: a stale cursor was patched from the journal"
+            );
+            exercised += 1;
+        }
+        assert!(
+            exercised >= 2,
+            "{name} exercised only {exercised} instances"
         );
     }
 }
@@ -266,161 +382,6 @@ fn every_solver_matches_under_a_pooled_ctx() {
     }
 }
 
-/// Every registry solver must produce the *same* solution under a speculating
-/// evaluation context as under a serial one, at every depth in {1, 2, 3} and with the
-/// journal both on and off: same algorithm label, bit-identical claimed and verified
-/// throughput, same word, same scheme, and bit-identical telemetry counters.
-/// `probes_speculated` / `probes_wasted` are the only counters allowed to grow (and
-/// `wall_time` the only field allowed to shrink) — speculation buys time, never a
-/// different answer. This is the in-repo half of the CI speculation matrix, which
-/// re-runs the whole suite under `BMP_SPECULATE` ∈ {0, 1, 2} × `BMP_DISABLE_JOURNAL`
-/// ∈ {unset, 1}.
-#[test]
-fn every_solver_matches_under_speculation() {
-    let mut speculated_somewhere = 0u64;
-    for journal in [true, false] {
-        for depth in [1usize, 2, 3] {
-            for solver in registry() {
-                for instance in corpus() {
-                    let mut serial = EvalCtx::new();
-                    serial.set_journal_enabled(journal);
-                    serial.set_speculation(0);
-                    let mut spec = EvalCtx::new();
-                    spec.set_journal_enabled(journal);
-                    spec.set_speculation(depth);
-                    let plain = solver.solve(&instance, &mut serial);
-                    let speculative = solver.solve(&instance, &mut spec);
-                    match (plain, speculative) {
-                        (Ok(plain), Ok(speculative)) => {
-                            let name = solver.name();
-                            assert_eq!(plain.algorithm, speculative.algorithm, "{name}");
-                            assert_eq!(
-                                plain.throughput.to_bits(),
-                                speculative.throughput.to_bits(),
-                                "{name}: claimed throughput diverged at depth {depth}"
-                            );
-                            assert_eq!(
-                                plain.verified_throughput.to_bits(),
-                                speculative.verified_throughput.to_bits(),
-                                "{name}: verified throughput diverged at depth {depth}"
-                            );
-                            assert_eq!(plain.word, speculative.word, "{name}");
-                            assert_eq!(plain.scheme, speculative.scheme, "{name}");
-                            let (s, p) = (&plain.telemetry, &speculative.telemetry);
-                            assert_eq!(s.flow_solves, p.flow_solves, "{name}");
-                            assert_eq!(s.bisection_iters, p.bisection_iters, "{name}");
-                            assert_eq!(s.rescans_skipped, p.rescans_skipped, "{name}");
-                            assert_eq!(s.edges_patched, p.edges_patched, "{name}");
-                            assert_eq!(s.probes_speculated, 0, "{name}: serial speculated");
-                            assert!(
-                                p.probes_wasted <= p.probes_speculated,
-                                "{name}: wasted {} > speculated {}",
-                                p.probes_wasted,
-                                p.probes_speculated
-                            );
-                            speculated_somewhere += p.probes_speculated;
-                        }
-                        (Err(_), Err(_)) => {} // class restrictions hit identically
-                        (plain, speculative) => panic!(
-                            "{}: serial {:?} vs speculative {:?} disagree on solvability",
-                            solver.name(),
-                            plain.map(|s| s.throughput),
-                            speculative.map(|s| s.throughput)
-                        ),
-                    }
-                }
-            }
-        }
-    }
-    // The comparison proves nothing if no solver ever actually speculated.
-    assert!(speculated_somewhere > 0, "no probe was ever speculated");
-}
-
-/// Every registry solver must produce the *same* solution with warm residual reuse
-/// enabled as with it disabled, with the journal on and off and speculation at depths
-/// {0, 2}: same algorithm label, bit-identical claimed and verified throughput, same
-/// word, same scheme, and bit-identical telemetry counters. The solved scheme is then
-/// re-probed by the dichotomic degradation search through the same contexts — the
-/// probe sequence whose repeated same-arena evaluations the warm path accelerates —
-/// and the tolerances must agree bit-for-bit while the warm context demonstrably
-/// reuses residual states. This is the in-repo half of the CI incremental matrix,
-/// which re-runs the whole suite under `BMP_INCREMENTAL` ∈ {0, 1}.
-#[test]
-fn every_solver_matches_under_incremental_reuse() {
-    let mut warmed_somewhere = 0u64;
-    for journal in [true, false] {
-        for depth in [0usize, 2] {
-            for solver in registry() {
-                for instance in corpus() {
-                    let mut cold = EvalCtx::new();
-                    cold.set_journal_enabled(journal);
-                    cold.set_speculation(depth);
-                    cold.set_incremental(false);
-                    let mut warm = EvalCtx::new();
-                    warm.set_journal_enabled(journal);
-                    warm.set_speculation(depth);
-                    warm.set_incremental(true);
-                    let plain = solver.solve(&instance, &mut cold);
-                    let reused = solver.solve(&instance, &mut warm);
-                    match (plain, reused) {
-                        (Ok(plain), Ok(reused)) => {
-                            let name = solver.name();
-                            assert_eq!(plain.algorithm, reused.algorithm, "{name}");
-                            assert_eq!(
-                                plain.throughput.to_bits(),
-                                reused.throughput.to_bits(),
-                                "{name}: claimed throughput diverged (journal={journal}, depth={depth})"
-                            );
-                            assert_eq!(
-                                plain.verified_throughput.to_bits(),
-                                reused.verified_throughput.to_bits(),
-                                "{name}: verified throughput diverged (journal={journal}, depth={depth})"
-                            );
-                            assert_eq!(plain.word, reused.word, "{name}");
-                            assert_eq!(plain.scheme, reused.scheme, "{name}");
-                            let (c, w) = (&plain.telemetry, &reused.telemetry);
-                            assert_eq!(c.flow_solves, w.flow_solves, "{name}");
-                            assert_eq!(c.bisection_iters, w.bisection_iters, "{name}");
-                            assert_eq!(c.rescans_skipped, w.rescans_skipped, "{name}");
-                            assert_eq!(c.edges_patched, w.edges_patched, "{name}");
-                            assert_eq!(
-                                c.flows_warm_started, 0,
-                                "{name}: cold context warm-started"
-                            );
-                            warmed_somewhere += w.flows_warm_started;
-                            if plain.throughput > 0.0 {
-                                // Re-probe the solution with the degradation search:
-                                // repeated same-arena evaluations, the warm path's
-                                // bread and butter. Verdict sequences diverging would
-                                // surface as a different tolerance.
-                                let floor = 0.9 * plain.throughput;
-                                let t_cold =
-                                    degradation_tolerance(&plain.scheme, 0, floor, &mut cold);
-                                let t_warm =
-                                    degradation_tolerance(&reused.scheme, 0, floor, &mut warm);
-                                assert_eq!(
-                                    t_cold, t_warm,
-                                    "{name}: degradation re-probe diverged (journal={journal}, depth={depth})"
-                                );
-                                warmed_somewhere += warm.flows_warm_started();
-                            }
-                        }
-                        (Err(_), Err(_)) => {} // class restrictions hit identically
-                        (plain, reused) => panic!(
-                            "{}: cold {:?} vs incremental {:?} disagree on solvability",
-                            solver.name(),
-                            plain.map(|s| s.throughput),
-                            reused.map(|s| s.throughput)
-                        ),
-                    }
-                }
-            }
-        }
-    }
-    // The comparison proves nothing if no evaluation ever actually warm-started.
-    assert!(warmed_somewhere > 0, "no flow solve was ever warm-started");
-}
-
 /// Random open-only instance and rate matrix; entries below 0.5 are zeroed so that the
 /// edge *set* survives the ±50% rate perturbations used by the incremental test.
 fn random_scheme() -> impl Strategy<Value = (bmp_core::BroadcastScheme, Vec<f64>)> {
@@ -453,9 +414,6 @@ proptest! {
     fn journaled_patches_equal_rebuild(case in random_scheme()) {
         let (mut scheme, factors) = case;
         let mut retained = EvalCtx::new();
-        // Explicitly, not by default: the CI matrix exports BMP_DISABLE_JOURNAL=1 and
-        // this test asserts journal-on behaviour.
-        retained.set_journal_enabled(true);
         let first = retained.throughput(&scheme);
         prop_assert_eq!(first, EvalCtx::new().throughput(&scheme));
         // Perturb every edge's rate without changing the edge set, twice: both rounds
@@ -502,208 +460,41 @@ proptest! {
 
     /// `EvalCtx::throughput_parallel` (the persistent-pool fan-out) must equal
     /// sequential evaluation **bit-identically** — values and telemetry counters — on
-    /// random overlays, with the journal on and off, at every fan-out in {1, 2, 4}.
+    /// random overlays at every fan-out in {1, 2, 4}.
     /// Runs the same probe sequence (nominal evaluation, then two rounds of journaled
     /// perturbations) through one sequential and one parallel context per combination.
     #[test]
     fn parallel_throughput_is_bit_identical_to_sequential(case in random_scheme()) {
         let (mut scheme, factors) = case;
         let n = scheme.instance().num_nodes();
-        for journal in [true, false] {
-            for threads in [1usize, 2, 4] {
-                let mut seq = EvalCtx::new();
-                seq.set_journal_enabled(journal);
-                let mut par = EvalCtx::new();
-                par.set_journal_enabled(journal);
-                par.set_parallelism(threads);
-                let rec_seq = SolveRecorder::start(&seq);
-                let rec_par = SolveRecorder::start(&par);
+        for threads in [1usize, 2, 4] {
+            let mut seq = EvalCtx::new();
+            let mut par = EvalCtx::new();
+            par.set_parallelism(threads);
+            let rec_seq = SolveRecorder::start(&seq);
+            let rec_par = SolveRecorder::start(&par);
+            prop_assert_eq!(par.throughput(&scheme), seq.throughput(&scheme),
+                "nominal (threads={})", threads);
+            for round in 0..2 {
+                for (from, to, rate) in scheme.edges() {
+                    let factor = factors[(from * n + to) % factors.len()];
+                    scheme.set_rate(from, to, rate * factor);
+                }
                 prop_assert_eq!(par.throughput(&scheme), seq.throughput(&scheme),
-                    "nominal (journal={}, threads={})", journal, threads);
-                for round in 0..2 {
-                    for (from, to, rate) in scheme.edges() {
-                        let factor = factors[(from * n + to) % factors.len()];
-                        scheme.set_rate(from, to, rate * factor);
-                    }
-                    prop_assert_eq!(par.throughput(&scheme), seq.throughput(&scheme),
-                        "round {} (journal={}, threads={})", round, journal, threads);
-                }
-                // Telemetry counters are bit-exact; wall_time is the only field the
-                // fan-out may change.
-                let t_seq = rec_seq.telemetry(&seq);
-                let t_par = rec_par.telemetry(&par);
-                prop_assert_eq!(t_par.flow_solves, t_seq.flow_solves);
-                prop_assert_eq!(t_par.bisection_iters, t_seq.bisection_iters);
-                prop_assert_eq!(t_par.rescans_skipped, t_seq.rescans_skipped);
-                prop_assert_eq!(t_par.edges_patched, t_seq.edges_patched);
-                if journal {
-                    // The probe sequence is journal-friendly: both contexts must have
-                    // actually ridden the fast path, or the comparison proves nothing.
-                    prop_assert!(t_seq.rescans_skipped >= 2,
-                        "sequential context never took the journal path");
-                }
+                    "round {} (threads={})", round, threads);
             }
+            // Telemetry counters are bit-exact; wall_time is the only field the
+            // fan-out may change.
+            let t_seq = rec_seq.telemetry(&seq);
+            let t_par = rec_par.telemetry(&par);
+            prop_assert_eq!(t_par.flow_solves, t_seq.flow_solves);
+            prop_assert_eq!(t_par.bisection_iters, t_seq.bisection_iters);
+            prop_assert_eq!(t_par.rescans_skipped, t_seq.rescans_skipped);
+            prop_assert_eq!(t_par.edges_patched, t_seq.edges_patched);
+            // The probe sequence is journal-friendly: both contexts must have actually
+            // ridden the fast path, or the comparison proves nothing.
+            prop_assert!(t_seq.rescans_skipped >= 2,
+                "sequential context never took the journal path");
         }
-    }
-}
-
-/// Random small guarded/open instance for the speculation equivalence properties
-/// (the corpus shapes, randomized).
-fn random_instance() -> impl Strategy<Value = Instance> {
-    (
-        0.3_f64..10.0,
-        proptest::collection::vec(0.1_f64..10.0, 0..=5),
-        proptest::collection::vec(0.1_f64..10.0, 0..=5),
-    )
-        .prop_filter_map("need a receiver", |(b0, open, guarded)| {
-            Instance::new(b0, open, guarded).ok()
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Theorem 4.1's solver must return a bit-identical [`Solution`] — throughput,
-    /// verified throughput, word, scheme, and every telemetry counter — whether its
-    /// dichotomic search probes serially or speculates 1–3 levels ahead against the
-    /// flow pool, with the journal on or off.
-    #[test]
-    fn speculative_solve_is_bit_identical_to_serial(
-        instance in random_instance(),
-        depth in 1usize..=3,
-        journal_bit in 0usize..=1,
-    ) {
-        let journal = journal_bit == 1;
-        use bmp_core::solver::{AcyclicGuardedAlgorithm, Solver as _};
-        let solver = AcyclicGuardedAlgorithm;
-        let mut serial = EvalCtx::new();
-        serial.set_journal_enabled(journal);
-        serial.set_speculation(0);
-        let mut spec = EvalCtx::new();
-        spec.set_journal_enabled(journal);
-        spec.set_speculation(depth);
-        let plain = solver.solve(&instance, &mut serial).expect("guarded solver");
-        let speculative = solver.solve(&instance, &mut spec).expect("guarded solver");
-        prop_assert_eq!(plain.throughput.to_bits(), speculative.throughput.to_bits());
-        prop_assert_eq!(
-            plain.verified_throughput.to_bits(),
-            speculative.verified_throughput.to_bits()
-        );
-        prop_assert_eq!(&plain.word, &speculative.word);
-        prop_assert_eq!(&plain.scheme, &speculative.scheme);
-        let (s, p) = (&plain.telemetry, &speculative.telemetry);
-        prop_assert_eq!(s.flow_solves, p.flow_solves);
-        prop_assert_eq!(s.bisection_iters, p.bisection_iters);
-        prop_assert_eq!(s.rescans_skipped, p.rescans_skipped);
-        prop_assert_eq!(s.edges_patched, p.edges_patched);
-        prop_assert!(p.probes_wasted <= p.probes_speculated);
-    }
-
-    /// Theorem 4.1's solver must return a bit-identical [`Solution`] — throughput,
-    /// verified throughput, word, scheme, and every telemetry counter — with warm
-    /// residual reuse on or off, across the journal × speculation matrix; and the
-    /// solution's dichotomic degradation re-probe (the warm path's target workload)
-    /// must produce the same tolerance through both contexts.
-    #[test]
-    fn incremental_solve_is_bit_identical_to_cold(
-        instance in random_instance(),
-        journal_bit in 0usize..=1,
-        depth_bit in 0usize..=1,
-    ) {
-        let journal = journal_bit == 1;
-        let depth = depth_bit * 2;
-        use bmp_core::solver::{AcyclicGuardedAlgorithm, Solver as _};
-        let solver = AcyclicGuardedAlgorithm;
-        let mut cold = EvalCtx::new();
-        cold.set_journal_enabled(journal);
-        cold.set_speculation(depth);
-        cold.set_incremental(false);
-        let mut warm = EvalCtx::new();
-        warm.set_journal_enabled(journal);
-        warm.set_speculation(depth);
-        warm.set_incremental(true);
-        let plain = solver.solve(&instance, &mut cold).expect("guarded solver");
-        let reused = solver.solve(&instance, &mut warm).expect("guarded solver");
-        prop_assert_eq!(plain.throughput.to_bits(), reused.throughput.to_bits());
-        prop_assert_eq!(
-            plain.verified_throughput.to_bits(),
-            reused.verified_throughput.to_bits()
-        );
-        prop_assert_eq!(&plain.word, &reused.word);
-        prop_assert_eq!(&plain.scheme, &reused.scheme);
-        let (c, w) = (&plain.telemetry, &reused.telemetry);
-        prop_assert_eq!(c.flow_solves, w.flow_solves);
-        prop_assert_eq!(c.bisection_iters, w.bisection_iters);
-        prop_assert_eq!(c.rescans_skipped, w.rescans_skipped);
-        prop_assert_eq!(c.edges_patched, w.edges_patched);
-        prop_assert_eq!(c.flows_warm_started, 0);
-        if plain.throughput > 0.0 {
-            let floor = 0.9 * plain.throughput;
-            let t_cold = degradation_tolerance(&plain.scheme, 0, floor, &mut cold);
-            let t_warm = degradation_tolerance(&reused.scheme, 0, floor, &mut warm);
-            prop_assert_eq!(t_cold, t_warm, "degradation re-probe diverged");
-        }
-    }
-
-    /// The determinism contract at probe granularity: replaying the candidate trees a
-    /// speculative search submitted, with the serial walk rule, must reproduce the
-    /// serial probe trace *exactly* — every tree root is the midpoint the serial
-    /// search would probe next, every consumed node continues its bracket, and the
-    /// total consumed count equals the serial probe count.
-    #[test]
-    fn speculative_probe_trace_equals_serial(
-        threshold in 0.001_f64..9.99,
-        upper in 0.5_f64..10.0,
-        hint in -1.0_f64..11.0,
-        depth in 1usize..=3,
-    ) {
-        let search = DichotomicSearch::default();
-        let feasible = |t: f64| t <= threshold;
-
-        // Serial reference: the exact probe sequence, in order.
-        let mut serial_trace = Vec::new();
-        let serial = search.maximize_from(hint, upper, |t| {
-            serial_trace.push(t);
-            feasible(t)
-        });
-
-        // Speculative run: record every submitted batch (preamble singletons and
-        // full candidate trees alike).
-        let mut batches: Vec<Vec<f64>> = Vec::new();
-        let spec = search.maximize_speculative_from(hint, upper, depth, |candidates: &[f64], verdicts: &mut Vec<bool>| {
-            batches.push(candidates.to_vec());
-            verdicts.clear();
-            verdicts.extend(candidates.iter().map(|&t| feasible(t)));
-        });
-        prop_assert_eq!(spec.value.to_bits(), serial.value.to_bits());
-        prop_assert_eq!(spec.probes, serial.probes);
-
-        // Replay: walk each recorded tree by the predicate. The nodes visited, in
-        // order across all batches, must be precisely the serial trace.
-        let mut consumed = 0usize;
-        for batch in &batches {
-            let mut node = 0usize;
-            while node < batch.len() && consumed < serial_trace.len() {
-                prop_assert_eq!(
-                    batch[node].to_bits(),
-                    serial_trace[consumed].to_bits(),
-                    "probe {} diverged from the serial trace", consumed
-                );
-                node = if feasible(batch[node]) { 2 * node + 2 } else { 2 * node + 1 };
-                consumed += 1;
-            }
-        }
-        prop_assert_eq!(consumed, serial_trace.len(), "consumed probes != serial probes");
-        // Accounting: each main round submits one candidate tree and charges all but
-        // its root as speculated; wasted = submitted-but-not-consumed tree nodes.
-        // Preamble probes travel as singleton batches (a tree has >= 3 nodes).
-        let preamble = batches.iter().filter(|b| b.len() == 1).count();
-        let rounds = batches.iter().filter(|b| b.len() > 1).count();
-        let tree_nodes: usize = batches.iter().filter(|b| b.len() > 1).map(Vec::len).sum();
-        prop_assert_eq!(spec.probes_speculated as usize, tree_nodes - rounds);
-        prop_assert_eq!(
-            spec.probes_wasted as usize,
-            tree_nodes - (spec.probes as usize - preamble)
-        );
     }
 }

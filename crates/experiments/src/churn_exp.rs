@@ -267,18 +267,13 @@ mod tests {
             assert!(cell.telemetry.bisection_iters > 0, "{cell:?}");
         }
         // The degradation probes re-score near-identical schemes: across the report the
-        // journal fast path must have fired — unless the operator kill switch disabled
-        // it process-wide (the CI matrix runs this suite with BMP_DISABLE_JOURNAL=1, and
-        // the sweep's per-worker contexts honour it by design). A fresh context reports
-        // the kill switch's verdict, so the env parsing stays in one place.
-        if EvalCtx::new().journal_enabled() {
-            let total: u64 = report
-                .cells
-                .iter()
-                .map(|c| c.telemetry.rescans_skipped)
-                .sum();
-            assert!(total > 0, "no journaled evaluation in the whole sweep");
-        }
+        // journal fast path must have fired.
+        let total: u64 = report
+            .cells
+            .iter()
+            .map(|c| c.telemetry.rescans_skipped)
+            .sum();
+        assert!(total > 0, "no journaled evaluation in the whole sweep");
     }
 
     #[test]

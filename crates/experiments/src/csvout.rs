@@ -11,11 +11,10 @@ use std::io;
 use std::path::Path;
 
 /// Column names shared by every experiment CSV that reports evaluation telemetry.
-pub const TELEMETRY_COLUMNS: [&str; 5] = [
+pub const TELEMETRY_COLUMNS: [&str; 4] = [
     "flow_solves",
     "bisection_iters",
     "rescans_skipped",
-    "flows_warm_started",
     "wall_time_ms",
 ];
 
@@ -26,7 +25,6 @@ pub fn telemetry_cells(telemetry: &Telemetry) -> Vec<String> {
         telemetry.flow_solves.to_string(),
         telemetry.bisection_iters.to_string(),
         telemetry.rescans_skipped.to_string(),
-        telemetry.flows_warm_started.to_string(),
         format!("{:.3}", telemetry.wall_time.as_secs_f64() * 1e3),
     ]
 }
@@ -40,11 +38,6 @@ pub fn telemetry_sum<'a>(telemetries: impl IntoIterator<Item = &'a Telemetry>) -
         total.bisection_iters += t.bisection_iters;
         total.rescans_skipped += t.rescans_skipped;
         total.edges_patched += t.edges_patched;
-        total.probes_speculated += t.probes_speculated;
-        total.probes_wasted += t.probes_wasted;
-        total.flows_warm_started += t.flows_warm_started;
-        total.augment_saved += t.augment_saved;
-        total.excess_drained += t.excess_drained;
         total.wall_time += t.wall_time;
     }
     total
@@ -177,11 +170,6 @@ mod tests {
             bisection_iters: 7,
             rescans_skipped: 5,
             edges_patched: 9,
-            probes_speculated: 3,
-            probes_wasted: 1,
-            flows_warm_started: 6,
-            augment_saved: 4,
-            excess_drained: 2,
             wall_time: std::time::Duration::from_millis(4),
         };
         let cells = telemetry_cells(&telemetry);
@@ -189,14 +177,10 @@ mod tests {
         assert_eq!(cells[0], "12");
         assert_eq!(cells[1], "7");
         assert_eq!(cells[2], "5");
-        assert_eq!(cells[3], "6");
-        assert_eq!(cells[4], "4.000");
+        assert_eq!(cells[3], "4.000");
         let total = telemetry_sum([&telemetry, &telemetry]);
         assert_eq!(total.flow_solves, 24);
         assert_eq!(total.edges_patched, 18);
-        assert_eq!(total.flows_warm_started, 12);
-        assert_eq!(total.augment_saved, 8);
-        assert_eq!(total.excess_drained, 4);
         assert_eq!(total.wall_time, std::time::Duration::from_millis(8));
         // A table built with the shared columns accepts the rendered cells.
         let mut table = CsvTable::new(

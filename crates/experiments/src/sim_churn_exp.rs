@@ -235,9 +235,6 @@ fn run_trial(
     telemetry.bisection_iters += controller_ctx.bisection_iters();
     telemetry.rescans_skipped += controller_ctx.rescans_skipped();
     telemetry.edges_patched += controller_ctx.edges_patched();
-    telemetry.flows_warm_started += controller_ctx.flows_warm_started();
-    telemetry.augment_saved += controller_ctx.augment_saved();
-    telemetry.excess_drained += controller_ctx.excess_drained();
     Some(SimChurnTrial {
         receivers,
         nominal,
@@ -329,16 +326,13 @@ mod tests {
             let repair_ms = cell.repair_ms.as_ref().expect("repairs were timed");
             assert!(repair_ms.mean > 0.0, "{cell:?}");
         }
-        // The controller's re-probes rode the dirty-edge journal (unless the CI matrix
-        // disabled it process-wide via BMP_DISABLE_JOURNAL).
-        if EvalCtx::new().journal_enabled() {
-            let skipped: u64 = report
-                .cells
-                .iter()
-                .map(|c| c.telemetry.rescans_skipped)
-                .sum();
-            assert!(skipped > 0, "controller probes never rode the journal");
-        }
+        // The controller's re-probes rode the dirty-edge journal.
+        let skipped: u64 = report
+            .cells
+            .iter()
+            .map(|c| c.telemetry.rescans_skipped)
+            .sum();
+        assert!(skipped > 0, "controller probes never rode the journal");
     }
 
     #[test]

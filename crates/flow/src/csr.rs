@@ -24,20 +24,9 @@
 
 use crate::eps;
 use crate::graph::{FlowNetwork, FlowResult};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel for "no arc" in parent arrays.
-pub(crate) const NO_ARC: u32 = u32::MAX;
-
-/// Process-wide structure-epoch counter for [`FlowArena`].
-///
-/// Each [`FlowArena::from_edges`] call mints a fresh epoch, so two arenas share an epoch
-/// only if one was cloned from the other (same node count, same arc layout, same edge
-/// insertion order). In-place capacity mutation (`set_edge_capacities`,
-/// `patch_edge_capacities`) deliberately keeps the epoch: the *structure* is unchanged,
-/// and warm residual states (see [`crate::incremental`]) detect capacity drift by
-/// snapshot diffing, not by epoch.
-static ARENA_EPOCHS: AtomicU64 = AtomicU64::new(1);
+const NO_ARC: u32 = u32::MAX;
 
 /// Immutable CSR residual arena for one network.
 ///
@@ -45,24 +34,20 @@ static ARENA_EPOCHS: AtomicU64 = AtomicU64::new(1);
 /// (capacity 0); both live in the flat arrays below, grouped by tail node. The arena
 /// carries no mutable solver state — residual capacities live in [`FlowSolver`], so one
 /// arena can be shared by any number of solvers (including across threads).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowArena {
-    pub(crate) num_nodes: usize,
-    pub(crate) num_edges: usize,
+    num_nodes: usize,
+    num_edges: usize,
     /// `start[v]..start[v + 1]` is the CSR arc range of node `v` (length `n + 1`).
-    pub(crate) start: Vec<u32>,
+    start: Vec<u32>,
     /// Head node of each arc (length `2m`).
-    pub(crate) to: Vec<u32>,
+    to: Vec<u32>,
     /// Position of each arc's reverse arc (length `2m`).
-    pub(crate) partner: Vec<u32>,
+    partner: Vec<u32>,
     /// Initial residual capacity of each arc: `c_k` forward, `0` backward (length `2m`).
-    pub(crate) base_cap: Vec<f64>,
+    base_cap: Vec<f64>,
     /// CSR position of the forward arc of input edge `k` (length `m`).
-    pub(crate) edge_pos: Vec<u32>,
-    /// Structure identity: minted by [`FlowArena::from_edges`], preserved by clones and
-    /// in-place capacity updates. Warm residual caches key on this (see
-    /// [`crate::incremental`]).
-    epoch: u64,
+    edge_pos: Vec<u32>,
     /// Total capacity entering each node (length `n`).
     in_cap: Vec<f64>,
     /// `in_start[v]..in_start[v + 1]` indexes `in_edges` (length `n + 1`).
@@ -72,25 +57,6 @@ pub struct FlowArena {
     /// which is what lets [`FlowArena::patch_edge_capacities`] recompute a patched node's
     /// in-capacity bit-for-bit identically to a full rebuild.
     in_edges: Vec<u32>,
-}
-
-/// Structural + capacity equality. The `epoch` is deliberately excluded: an arena
-/// rebuilt from scratch over the same edges compares equal to one updated in place even
-/// though their warm-cache identities differ (equality answers "same network?", the
-/// epoch answers "may residual state be reused without re-validation?").
-impl PartialEq for FlowArena {
-    fn eq(&self, other: &Self) -> bool {
-        self.num_nodes == other.num_nodes
-            && self.num_edges == other.num_edges
-            && self.start == other.start
-            && self.to == other.to
-            && self.partner == other.partner
-            && self.base_cap == other.base_cap
-            && self.edge_pos == other.edge_pos
-            && self.in_cap == other.in_cap
-            && self.in_start == other.in_start
-            && self.in_edges == other.in_edges
-    }
 }
 
 impl FlowArena {
@@ -160,7 +126,6 @@ impl FlowArena {
             partner,
             base_cap,
             edge_pos,
-            epoch: ARENA_EPOCHS.fetch_add(1, Ordering::Relaxed),
             in_cap,
             in_start,
             in_edges,
@@ -182,18 +147,6 @@ impl FlowArena {
     #[must_use]
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// Structure epoch: a process-unique id minted when the arena was built from edges.
-    ///
-    /// Clones and in-place capacity updates ([`FlowArena::set_edge_capacities`],
-    /// [`FlowArena::patch_edge_capacities`]) keep the epoch — the arc layout is
-    /// unchanged, and warm residual states track capacity drift themselves via snapshot
-    /// diffing. A rebuild through [`FlowArena::from_edges`] always mints a new epoch,
-    /// which is what invalidates warm states across edge-set changes.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Number of input edges (half the number of residual arcs).
@@ -342,15 +295,15 @@ impl FlowArena {
 #[derive(Debug, Default, Clone)]
 pub struct FlowSolver {
     /// Residual capacities, indexed like the arena's arc arrays.
-    pub(crate) cap: Vec<f64>,
+    cap: Vec<f64>,
     /// BFS level of each node (Dinic).
-    pub(crate) level: Vec<i32>,
+    level: Vec<i32>,
     /// Current-arc cursor of each node, an absolute CSR position (Dinic).
-    pub(crate) iter: Vec<u32>,
+    iter: Vec<u32>,
     /// BFS queue (Dinic, Edmonds–Karp) / FIFO ring buffer (push-relabel).
-    pub(crate) queue: Vec<u32>,
+    queue: Vec<u32>,
     /// Arc used to reach each node (Edmonds–Karp).
-    pub(crate) parent_arc: Vec<u32>,
+    parent_arc: Vec<u32>,
     /// Bottleneck capacity along the BFS tree path (Edmonds–Karp).
     bottleneck: Vec<f64>,
     /// Node heights (push-relabel).
@@ -360,7 +313,7 @@ pub struct FlowSolver {
     /// Whether a node is queued (push-relabel).
     in_queue: Vec<bool>,
     /// Sink ordering scratch for [`FlowSolver::min_max_flow`].
-    pub(crate) sinks: Vec<u32>,
+    sinks: Vec<u32>,
 }
 
 impl FlowSolver {
@@ -456,53 +409,40 @@ impl FlowSolver {
 
     /// Maximum flow with per-edge flow extraction (Dinic).
     pub fn max_flow_result(&mut self, arena: &FlowArena, source: usize, sink: usize) -> FlowResult {
-        let mut edge_flows = Vec::new();
-        let value = self.max_flow_result_into(arena, source, sink, &mut edge_flows);
-        FlowResult { value, edge_flows }
-    }
-
-    /// Like [`FlowSolver::max_flow_result`], but writes the per-edge flows into a
-    /// caller-owned buffer instead of allocating a fresh `Vec` per call.
-    ///
-    /// `edge_flows` is cleared and refilled (one entry per input edge, insertion order);
-    /// in steady state — a buffer that has already reached `num_edges` capacity — the
-    /// call performs no heap allocation, which is what the repair / simulation loops
-    /// that extract flows every tick rely on. Returns the flow value.
-    pub fn max_flow_result_into(
-        &mut self,
-        arena: &FlowArena,
-        source: usize,
-        sink: usize,
-        edge_flows: &mut Vec<f64>,
-    ) -> f64 {
         assert!(source < arena.num_nodes, "source out of range");
         assert!(sink < arena.num_nodes, "sink out of range");
         if source == sink {
             // `max_flow` skips the solve (and the capacity load) for this case, so there
             // is no residual state to extract flows from.
-            edge_flows.clear();
-            edge_flows.resize(arena.num_edges, 0.0);
-            return 0.0;
+            return FlowResult {
+                value: 0.0,
+                edge_flows: vec![0.0; arena.num_edges],
+            };
         }
         let value = self.max_flow(arena, source, sink);
-        self.extract_edge_flows_into(arena, edge_flows);
-        value
+        FlowResult {
+            value,
+            edge_flows: self.extract_edge_flows(arena),
+        }
     }
 
-    /// Per-edge flows of the last solve, reusing `edge_flows`' allocation: original
-    /// capacity minus remaining forward residual, clamped to `[0, ∞)`.
-    pub fn extract_edge_flows_into(&self, arena: &FlowArena, edge_flows: &mut Vec<f64>) {
-        edge_flows.clear();
-        edge_flows.extend(arena.edge_pos.iter().map(|&pos| {
-            eps::clamp_nonnegative(arena.base_cap[pos as usize] - self.cap[pos as usize]).max(0.0)
-        }));
+    /// Per-edge flows of the last solve: original capacity minus remaining forward residual.
+    fn extract_edge_flows(&self, arena: &FlowArena) -> Vec<f64> {
+        arena
+            .edge_pos
+            .iter()
+            .map(|&pos| {
+                eps::clamp_nonnegative(arena.base_cap[pos as usize] - self.cap[pos as usize])
+                    .max(0.0)
+            })
+            .collect()
     }
 
     /// Breadth-first search building the Dinic level graph; `true` iff the sink is reachable.
     // The CSR range indexes two parallel arrays (`to` and `cap`); an iterator over one of
     // them would hide that coupling.
     #[allow(clippy::needless_range_loop)]
-    pub(crate) fn bfs_levels(
+    fn bfs_levels(
         arena: &FlowArena,
         cap: &[f64],
         level: &mut [i32],
@@ -530,7 +470,7 @@ impl FlowSolver {
     }
 
     /// Depth-first search pushing flow along the level graph (current-arc variant).
-    pub(crate) fn dfs_augment(
+    fn dfs_augment(
         arena: &FlowArena,
         cap: &mut [f64],
         level: &[i32],
@@ -619,11 +559,9 @@ impl FlowSolver {
                 node = arena.to[partner] as usize;
             }
         }
-        let mut edge_flows = Vec::new();
-        self.extract_edge_flows_into(arena, &mut edge_flows);
         FlowResult {
             value: total,
-            edge_flows,
+            edge_flows: self.extract_edge_flows(arena),
         }
     }
 
@@ -717,11 +655,9 @@ impl FlowSolver {
             }
         }
 
-        let mut edge_flows = Vec::new();
-        self.extract_edge_flows_into(arena, &mut edge_flows);
         FlowResult {
             value: self.excess[sink].max(0.0),
-            edge_flows,
+            edge_flows: self.extract_edge_flows(arena),
         }
     }
 

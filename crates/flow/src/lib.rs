@@ -55,55 +55,6 @@
 //! instead of a thread spawn), available parallelism capped at 8 above. Every fan-out
 //! is bit-for-bit equal to the sequential batched evaluation.
 //!
-//! # When speculation wins
-//!
-//! The pool also runs *probe batches* ([`pool::FlowPool::probe_batch`]) — the candidate
-//! midpoints of a speculative dichotomic search (`bmp-core`'s `DichotomicSearch`). A
-//! speculative round of depth `d` evaluates `2^(d+1) - 1` candidates to make `d + 1`
-//! bisection steps of progress, so the break-even is lanes versus depth: with `L` free
-//! pool lanes, depth `d` turns `d + 1` serial probe latencies into
-//! `ceil((2^(d+1) - 1) / L)` batched ones. Depth 1 (3 candidates) needs ≥ 2 free lanes
-//! to win ~2× on probe latency; depth 2 (7 candidates) needs ≥ 4 lanes for ~2.3×, and
-//! on fewer lanes deeper speculation only burns wasted probes — exactly half the
-//! evaluated speculative candidates are discarded per round at any depth. On a
-//! single-core host (or a saturated pool) every depth loses to serial by the wasted
-//! work, which is why speculation is opt-in (`BMP_SPECULATE`, `--speculate N`) and the
-//! perf gate abstains on single-core runners. Speculative tickets are tagged
-//! ([`pool::TicketClass`]) so cancelled wagers never pollute the fair-share
-//! starvation accounting, and they reserve one pool lane for co-resident fair-share
-//! work (see the module docs of [`pool`]).
-//!
-//! # Incremental reuse: warm residual states
-//!
-//! Consecutive dichotomic probes evaluate the *same* arc structure under rescaled
-//! capacities, so the previous probe's feasible flow is one capacity-delta away from a
-//! valid warm start. Module [`incremental`] retains that state per
-//! `(arena epoch, source, sink)` in a [`incremental::WarmFlowCache`]:
-//!
-//! * **State machine** — a warm solve diffs the state's capacity snapshot against the
-//!   arena (`O(m)`), widens forward residuals for increases, and for decreases that
-//!   undercut committed flow drains the severed units back along reverse residual
-//!   paths (excess to the source avoiding the sink, deficit from the sink avoiding the
-//!   source) before re-augmenting from the retained flow. If the retained value already
-//!   meets the caller's limit it is returned as a one-sided certificate with zero
-//!   augmentation; if augmentation converges *below* the limit, the exact value is
-//!   recomputed cold and the state reseeded — so every number that can steer brackets,
-//!   probe verdicts or the final solution is produced by the cold arithmetic, and warm
-//!   mode is bit-for-bit equivalent to cold mode end to end.
-//! * **Invalidation rules** — states key on [`csr::FlowArena::epoch`], a process-unique
-//!   id minted by `from_edges`. Rebuilding an arena (edge-*set* change, e.g. churn
-//!   survivors) mints a new epoch and orphans old states; in-place capacity updates
-//!   (`set_edge_capacities`, journal patches via `patch_edge_capacities`, including
-//!   through `Arc::make_mut`) keep the epoch and are absorbed by the snapshot diff. A
-//!   failed drain invalidates just that state and falls back to the always-correct cold
-//!   path.
-//! * **Plumbing** — `bmp-core`'s `EvalCtx` owns a cache for sequential evaluation and
-//!   each [`pool::FlowPool`] worker owns one for fanned-out evaluation (reset alongside
-//!   the solver on panic containment); the `BMP_INCREMENTAL` / `--incremental` /
-//!   `EvalCtx::set_incremental` knob gates the whole path, and the
-//!   `flows_warm_started` / `augment_saved` / `excess_drained` telemetry makes reuse
-//!   observable.
-//!
 //! # Entry points
 //!
 //! * [`graph::FlowNetwork`] — edge-list builder API with `O(1)` in-capacity queries,
@@ -127,7 +78,6 @@ pub mod dinic;
 pub mod edmonds_karp;
 pub mod eps;
 pub mod graph;
-pub mod incremental;
 pub mod mincut;
 pub mod pool;
 pub mod push_relabel;
@@ -138,11 +88,8 @@ pub use csr::{
 pub use dinic::dinic_max_flow;
 pub use edmonds_karp::edmonds_karp_max_flow;
 pub use graph::{EdgeId, FlowNetwork, FlowResult};
-pub use incremental::{WarmFlowCache, WarmStats};
 pub use mincut::{min_cut, MinCut};
-pub use pool::{
-    arm_worker_panics, disarm_worker_panics, FlowPool, ProbeFn, TicketClass, WorkerPanicGuard,
-};
+pub use pool::{arm_worker_panics, disarm_worker_panics, FlowPool, WorkerPanicGuard};
 pub use push_relabel::push_relabel_max_flow;
 
 /// Maximum-flow value from `source` to `sink` computed with the default solver (Dinic).

@@ -2,19 +2,37 @@
 //! warm, repeated value-only solves (`max_flow`, `max_flow_limited`, `min_max_flow`) must
 //! not touch the heap. A counting global allocator makes any regression an immediate test
 //! failure instead of a silent performance cliff.
+//!
+//! The test harness runs tests on parallel threads, so the count is per thread and only
+//! runs while the measuring thread has armed it: another test's allocations never show up
+//! in a measurement.
 
 use bmp_flow::{FlowArena, FlowSolver};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// System allocator wrapper counting every allocation (and reallocation).
+/// System allocator wrapper counting every allocation (and reallocation) made on an
+/// armed thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether allocations on this thread are counted. Both cells are const-initialised
+    /// and free of destructors, so touching them never allocates and never fails during
+    /// thread exit.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on this thread while it was armed.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_if_armed() {
+    if ARMED.with(Cell::get) {
+        ALLOCATIONS.with(|count| count.set(count.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
         unsafe { System.alloc(layout) }
     }
 
@@ -23,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -31,8 +49,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Number of allocations `body` makes on the calling thread.
+fn allocations_during(body: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    ARMED.with(|armed| armed.set(true));
+    body();
+    ARMED.with(|armed| armed.set(false));
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 /// A layered network large enough that a solve exercises BFS, DFS and multiple phases.
@@ -71,21 +94,19 @@ fn warm_solver_performs_no_heap_allocation() {
     assert!(reference_flow > 0.0);
     assert!(reference_min >= 0.0);
 
-    let before = allocation_count();
-    for _ in 0..50 {
-        let flow = solver.max_flow(&arena, 0, 1);
-        assert_eq!(flow, reference_flow);
-        let limited = solver.max_flow_limited(&arena, 0, 1, reference_flow / 2.0);
-        assert!(limited >= reference_flow / 2.0);
-        let minimum = solver.min_max_flow(&arena, 0, &sinks);
-        assert_eq!(minimum, reference_min);
-    }
-    let after = allocation_count();
+    let allocations = allocations_during(|| {
+        for _ in 0..50 {
+            let flow = solver.max_flow(&arena, 0, 1);
+            assert_eq!(flow, reference_flow);
+            let limited = solver.max_flow_limited(&arena, 0, 1, reference_flow / 2.0);
+            assert!(limited >= reference_flow / 2.0);
+            let minimum = solver.min_max_flow(&arena, 0, &sinks);
+            assert_eq!(minimum, reference_min);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
-        "hot-path solves allocated {} time(s); the workspace must be fully reused",
-        after - before
+        allocations, 0,
+        "hot-path solves allocated {allocations} time(s); the workspace must be fully reused"
     );
 }
 
@@ -97,15 +118,14 @@ fn shrinking_to_a_smaller_arena_allocates_nothing_new() {
     let big_flow = solver.max_flow(&big, 0, 1);
     let small_flow = solver.max_flow(&small, 0, 1);
 
-    let before = allocation_count();
-    for _ in 0..20 {
-        assert_eq!(solver.max_flow(&small, 0, 1), small_flow);
-        assert_eq!(solver.max_flow(&big, 0, 1), big_flow);
-    }
-    let after = allocation_count();
+    let allocations = allocations_during(|| {
+        for _ in 0..20 {
+            assert_eq!(solver.max_flow(&small, 0, 1), small_flow);
+            assert_eq!(solver.max_flow(&big, 0, 1), big_flow);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "alternating between warm arenas must not reallocate buffers"
     );
 }

@@ -5,7 +5,7 @@
 
 use bmp_flow::{
     dinic_max_flow, edmonds_karp_max_flow, min_cut, min_max_flow_parallel, push_relabel_max_flow,
-    FlowNetwork, FlowSolver, WarmFlowCache,
+    FlowNetwork, FlowSolver,
 };
 use proptest::prelude::*;
 
@@ -206,66 +206,6 @@ proptest! {
         let incremental = solver.min_max_flow(&patched, 0, &sinks);
         let fresh = solver.min_max_flow(&rebuilt, 0, &sinks);
         prop_assert_eq!(incremental, fresh);
-    }
-
-    #[test]
-    fn warm_residual_reuse_matches_cold_across_rescales(
-        net in random_network(8, 24),
-        rescales in proptest::collection::vec(
-            proptest::collection::vec(0.0_f64..20.0, 0..=24), 1..=6),
-    ) {
-        // Warm residual reuse must return bit-for-bit the cold batched result after
-        // every in-place capacity rewrite — including hard cuts that force the drain
-        // machinery through reverse residual paths — and the retained states must stay
-        // feasible flows throughout (residual + flow = capacity arc-by-arc,
-        // conservation at interior nodes, value = net sink inflow).
-        let mut arena = net.arena();
-        let sinks: Vec<usize> = (1..net.num_nodes()).collect();
-        let mut cold = FlowSolver::new();
-        let mut warm = FlowSolver::new();
-        let mut cache = WarmFlowCache::new();
-        for new_caps in rescales {
-            let caps: Vec<f64> = (0..arena.num_edges())
-                .map(|k| new_caps.get(k).copied().unwrap_or(arena.edge_capacity(k)))
-                .collect();
-            arena.set_edge_capacities(&caps);
-            let expected = cold.min_max_flow(&arena, 0, &sinks);
-            let got = warm.min_max_flow_warm(&arena, 0, &sinks, &mut cache);
-            prop_assert_eq!(expected, got, "warm {} vs cold {}", got, expected);
-            let invariants = cache.validate(&arena);
-            prop_assert!(invariants.is_ok(), "warm state invariants: {:?}", invariants);
-        }
-    }
-
-    #[test]
-    fn warm_limited_solves_respect_the_cold_contract(
-        net in random_network(8, 24),
-        steps in proptest::collection::vec(
-            (proptest::collection::vec(0.0_f64..20.0, 0..=24), 0.1_f64..30.0), 1..=6),
-    ) {
-        // Single-sink limited solves through the warm path: below the limit the value
-        // must be exactly the cold one (it steers running minimums); at or above it the
-        // contract is one-sided, matching `max_flow_limited`.
-        let mut arena = net.arena();
-        let sink = net.num_nodes() - 1;
-        let mut cold = FlowSolver::new();
-        let mut warm = FlowSolver::new();
-        let mut cache = WarmFlowCache::new();
-        for (new_caps, limit) in steps {
-            let caps: Vec<f64> = (0..arena.num_edges())
-                .map(|k| new_caps.get(k).copied().unwrap_or(arena.edge_capacity(k)))
-                .collect();
-            arena.set_edge_capacities(&caps);
-            let expected = cold.max_flow_limited(&arena, 0, sink, limit);
-            let got = warm.max_flow_limited_warm(&arena, 0, sink, limit, &mut cache);
-            if expected < limit {
-                prop_assert_eq!(expected, got, "warm {} vs cold {}", got, expected);
-            } else {
-                prop_assert!(got >= limit, "warm {} below the limit {}", got, limit);
-            }
-            let invariants = cache.validate(&arena);
-            prop_assert!(invariants.is_ok(), "warm state invariants: {:?}", invariants);
-        }
     }
 
     #[test]

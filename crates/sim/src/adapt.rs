@@ -330,13 +330,6 @@ impl RepairController {
     /// ([`EvalCtx::set_warm_start_lower`] — advisory and probed, never trusted, so a
     /// cyclic residual above the acyclic optimum only narrows the bracket from above).
     /// The hint is one-shot, so it is re-armed before every attempt, retries included.
-    ///
-    /// When incremental mode is on (the process default via `BMP_INCREMENTAL` /
-    /// `set_default_incremental`, or [`RepairController::set_incremental`]), the warm
-    /// lower bracket composes with warm residual reuse: the bracket skips the probes
-    /// below the residual, and the remaining probes reuse each sink's retained
-    /// residual across the attempt loop — observable as `flows_warm_started` in the
-    /// controller's telemetry.
     fn attempt_repair(&mut self, departed: &[NodeId], residual: f64) -> RepairAttempt {
         let warm_start = (residual > 0.0).then_some(residual);
         let mut solvers = registry();
@@ -390,23 +383,6 @@ impl RepairController {
     /// overlays fan out over the persistent flow worker pool (`0` = auto heuristic).
     pub fn set_parallelism(&mut self, threads: usize) {
         self.ctx.set_parallelism(threads);
-    }
-
-    /// Forwards to [`EvalCtx::set_speculation`]: repair re-solves speculate `depth`
-    /// extra dichotomic levels against the flow pool (`0` = serial probing). The
-    /// repaired overlays are bit-identical at any depth.
-    pub fn set_speculation(&mut self, depth: usize) {
-        self.ctx.set_speculation(depth);
-    }
-
-    /// Forwards to [`EvalCtx::set_incremental`]: repair re-solves and residual probes
-    /// reuse warm residual states across the attempt loop, composing with the warm
-    /// lower bracket the repair attempt loop arms (`attempt_repair`). Repaired overlays and
-    /// decisions are bit-identical either way; the reuse shows up as
-    /// `flows_warm_started` / `augment_saved` / `excess_drained` in the controller's
-    /// telemetry.
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.ctx.set_incremental(enabled);
     }
 
     /// The controller's evaluation context (telemetry: flow solves, bisection probes,
@@ -1099,7 +1075,7 @@ mod tests {
         assert!(repaired.recovery_time().is_some());
         // The controller's decision pipeline ran: degradation probes (bisection) and
         // residual evaluations through its one long-lived context — and the re-probes
-        // rode the dirty-edge journal (unless the CI kill switch disabled it).
+        // rode the dirty-edge journal.
         let decision = &controller.decisions()[0];
         assert_eq!(decision.departed, vec![3]);
         assert!(decision.residual < 0.9 * nominal);
@@ -1109,52 +1085,7 @@ mod tests {
         assert!(!decision.degraded && !decision.probe_timed_out);
         assert!(controller.ctx().flow_solves() > 0);
         assert!(controller.ctx().bisection_iters() > 0);
-        if EvalCtx::new().journal_enabled() {
-            assert!(controller.ctx().rescans_skipped() > 0);
-        }
-    }
-
-    #[test]
-    fn incremental_repair_makes_identical_decisions_and_warm_starts_flows() {
-        // Satellite proof for warm residual reuse: the same two-departure scenario run
-        // with incremental mode on and off produces bit-identical decisions, swap
-        // timelines and delivery reports — and the incremental controller demonstrably
-        // warm-started flow solves instead of re-running Dinic from scratch.
-        let churn = ChurnSchedule::new(vec![
-            ChurnEvent {
-                time: 4.0,
-                node: 3,
-                action: ChurnAction::Depart,
-            },
-            ChurnEvent {
-                time: 12.0,
-                node: 1,
-                action: ChurnAction::Depart,
-            },
-        ]);
-        let run = |incremental: bool| {
-            let (instance, scheme, nominal, overlay) = solved_figure1();
-            let mut controller = RepairController::new(instance, scheme, nominal, 0.9);
-            controller.set_incremental(incremental);
-            let outcome = run_adaptive(overlay, config(), &churn, &mut controller, nominal);
-            (outcome, controller)
-        };
-        let (cold_outcome, cold) = run(false);
-        let (warm_outcome, warm) = run(true);
-        assert_eq!(cold.decisions(), warm.decisions());
-        assert_eq!(cold_outcome, warm_outcome);
-        assert!(warm_outcome.swaps.iter().any(|s| s.swapped));
-        assert_eq!(
-            cold.ctx().flow_solves(),
-            warm.ctx().flow_solves(),
-            "warm mode must not change which probes run"
-        );
-        assert_eq!(cold.ctx().bisection_iters(), warm.ctx().bisection_iters());
-        assert_eq!(cold.ctx().flows_warm_started(), 0);
-        assert!(
-            warm.ctx().flows_warm_started() > 0,
-            "repair re-probes must reuse warm residual states"
-        );
+        assert!(controller.ctx().rescans_skipped() > 0);
     }
 
     #[test]
