@@ -1,72 +1,61 @@
-//! Multi-sink throughput evaluation: naive per-sink Dinic vs the batched CSR evaluator
-//! vs the scoped-thread parallel fan-out, measured from n = 50 up to the fleet-scale
-//! n ∈ {2000, 5000} overlays called out by the ROADMAP.
+//! Multi-sink throughput evaluation: the batched CSR evaluator, sequential and fanned
+//! out over the persistent worker pool, measured from n = 50 up to the fleet-scale
+//! n ∈ {2000, 5000} overlays.
 //!
 //! `BroadcastScheme::throughput` is `min_k maxflow(source → C_k)` over all receivers.
-//! The variants:
+//! The variants of the `throughput` group:
 //!
-//! * `naive`          — per-sink `dinic_max_flow` free-function calls (seed behaviour;
-//!   n ≤ 500 only, it is quadratically off the pace at scale),
-//! * `batched`        — arena build + `FlowSolver::min_max_flow` (cold workspace),
+//! * `batched`        — arena build + `FlowSolver::min_max_flow` (cold workspace;
+//!   n ≤ 500),
 //! * `batched_reuse`  — `min_max_flow` on a prebuilt arena with a warm solver (the
 //!   steady-state hot path of the experiment sweeps — the sequential baseline),
-//! * `parallel-auto`  — `min_max_flow_parallel` with the `suggested_flow_threads`
-//!   heuristic (sequential below 1000 nodes / 128 sinks, capped available parallelism
-//!   above),
-//! * `parallel/T`     — fixed thread counts for the fan-out curve.
+//! * `parallel-auto`  — `FlowPool::min_max_flow_with` on the global pool with the
+//!   `suggested_flow_threads` lane count (sequential below 512 nodes / 96 sinks, capped
+//!   available parallelism above),
+//! * `parallel/T`     — fixed lane counts for the fan-out curve.
 //!
-//! The `worker_pool` group compares the three fan-out strategies head to head at a
-//! fixed thread count (pool-vs-scoped and pool-vs-sequential):
+//! The `worker_pool` group compares the pool with the sequential evaluator at a fixed
+//! fan-out of 4 lanes:
 //!
 //! * `sequential`     — warm `FlowSolver::min_max_flow` (the no-fan-out floor),
-//! * `scoped/4`       — `min_max_flow_scoped`, the per-call scoped-thread spawn,
 //! * `pooled/4`       — `FlowPool::min_max_flow_with` on the persistent global pool
 //!   (long-lived workers, warm per-worker solvers, no per-call spawn).
-//!
-//! On a single-core container all three land within noise of each other — the group
-//! exists so the BENCH JSON records the trajectory and multi-core hardware shows the
-//! pool's win the moment it runs there.
 //!
 //! Results are drained from the harness and written as `BENCH_throughput.json` at the
 //! repo root (machine-readable perf trajectory).
 
-use bmp_flow::{
-    dinic_max_flow, min_max_flow_parallel, min_max_flow_scoped, suggested_flow_threads,
-    FlowNetwork, FlowPool, FlowSolver,
-};
+use bmp_flow::{suggested_flow_threads, FlowArena, FlowPool, FlowSolver};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Random broadcast-like digraph: node 0 is the source, every node has out-degree ~8 with
-/// capacities in `[0.1, 5)`, plus a guaranteed source → k path structure so flows are
-/// non-trivial.
-fn random_overlay(n: usize, seed: u64) -> FlowNetwork {
+/// Random broadcast-like digraph as an edge list: node 0 is the source, every node has
+/// out-degree ~8 with capacities in `[0.1, 5)`, plus a guaranteed source → k path
+/// structure so flows are non-trivial.
+fn random_overlay(n: usize, seed: u64) -> Vec<(usize, usize, f64)> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut net = FlowNetwork::new(n);
+    let mut edges = Vec::with_capacity(8 * n);
     for k in 1..n {
         // A sparse backbone keeps every node reachable.
         let parent = rng.gen_range(0..k);
-        net.add_edge(parent, k, rng.gen_range(0.5..5.0));
+        edges.push((parent, k, rng.gen_range(0.5..5.0)));
     }
     let extra_edges = n * 7;
     for _ in 0..extra_edges {
         let from = rng.gen_range(0..n);
         let to = rng.gen_range(0..n);
         if from != to {
-            net.add_edge(from, to, rng.gen_range(0.1..5.0));
+            edges.push((from, to, rng.gen_range(0.1..5.0)));
         }
     }
-    net
+    edges
 }
 
-fn naive_throughput(net: &FlowNetwork, sinks: &[usize]) -> f64 {
-    sinks
-        .iter()
-        .map(|&sink| dinic_max_flow(net, 0, sink).value)
-        .fold(f64::INFINITY, f64::min)
+/// The pooled evaluation on the global pool with a fresh submitter workspace.
+fn pooled(arena: &Arc<FlowArena>, sinks: &[usize], threads: usize) -> f64 {
+    FlowPool::global().min_max_flow_with(&mut FlowSolver::new(), arena, 0, sinks, threads)
 }
 
 fn bench_throughput(c: &mut Criterion) {
@@ -76,34 +65,24 @@ fn bench_throughput(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
     for &n in &[50usize, 200, 500, 2000, 5000] {
-        let net = random_overlay(n, 0xBEA0 + n as u64);
+        let edges = random_overlay(n, 0xBEA0 + n as u64);
         let sinks: Vec<usize> = (1..n).collect();
-        let arena = net.arena();
+        let arena = Arc::new(FlowArena::from_edges(n, &edges));
         let mut warm = FlowSolver::new();
         let expected = warm.min_max_flow(&arena, 0, &sinks);
         if n <= 500 {
-            // The naive baseline is only affordable (and only interesting) at the
-            // PR-1 sizes; it anchors the batched evaluator's exactness.
-            assert_eq!(
-                naive_throughput(&net, &sinks),
-                expected,
-                "batched evaluator must agree with the naive baseline before being timed"
-            );
-            group.bench_with_input(BenchmarkId::new("naive", n), &net, |b, net| {
-                b.iter(|| naive_throughput(net, &sinks))
-            });
-            group.bench_with_input(BenchmarkId::new("batched", n), &net, |b, net| {
+            group.bench_with_input(BenchmarkId::new("batched", n), &edges, |b, edges| {
                 b.iter(|| {
-                    let arena = net.arena();
+                    let arena = FlowArena::from_edges(n, edges);
                     FlowSolver::new().min_max_flow(&arena, 0, &sinks)
                 })
             });
         }
-        // The parallel fan-out shares the exactness argument at every size.
+        // The pooled fan-out shares the exactness argument at every size.
         assert_eq!(
-            min_max_flow_parallel(&arena, 0, &sinks, 4),
+            pooled(&arena, &sinks, 4),
             expected,
-            "parallel evaluator must agree with the sequential baseline before being timed"
+            "pooled evaluator must agree with the sequential baseline before being timed"
         );
         group.bench_with_input(BenchmarkId::new("batched_reuse", n), &arena, |b, arena| {
             b.iter(|| warm.min_max_flow(arena, 0, &sinks))
@@ -111,13 +90,13 @@ fn bench_throughput(c: &mut Criterion) {
         if n >= 500 {
             let auto_threads = suggested_flow_threads(n, sinks.len());
             group.bench_with_input(BenchmarkId::new("parallel-auto", n), &arena, |b, arena| {
-                b.iter(|| min_max_flow_parallel(arena, 0, &sinks, auto_threads))
+                b.iter(|| pooled(arena, &sinks, auto_threads))
             });
             for threads in [4usize, 8] {
                 group.bench_with_input(
                     BenchmarkId::new(format!("parallel/{threads}"), n),
                     &arena,
-                    |b, arena| b.iter(|| min_max_flow_parallel(arena, 0, &sinks, threads)),
+                    |b, arena| b.iter(|| pooled(arena, &sinks, threads)),
                 );
             }
         }
@@ -125,7 +104,7 @@ fn bench_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pool-vs-scoped and pool-vs-sequential at a fixed fan-out of 4 lanes.
+/// Pool-vs-sequential at a fixed fan-out of 4 lanes.
 fn bench_worker_pool(c: &mut Criterion) {
     let mut group = c.benchmark_group("worker_pool");
     group
@@ -134,21 +113,20 @@ fn bench_worker_pool(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     let pool = FlowPool::global();
     for &n in &[500usize, 2000] {
-        let net = random_overlay(n, 0xBEA0 + n as u64);
+        let edges = random_overlay(n, 0xBEA0 + n as u64);
         let sinks: Vec<usize> = (1..n).collect();
-        let arena = Arc::new(net.arena());
+        let arena = Arc::new(FlowArena::from_edges(n, &edges));
         let mut warm = FlowSolver::new();
         let expected = warm.min_max_flow(&arena, 0, &sinks);
-        // All three strategies are exact — assert it before timing them.
-        assert_eq!(min_max_flow_scoped(&arena, 0, &sinks, 4), expected);
-        assert_eq!(pool.min_max_flow(&arena, 0, &sinks, 4), expected);
+        let mut submitter = FlowSolver::new();
+        // Both strategies are exact — assert it before timing them.
+        assert_eq!(
+            pool.min_max_flow_with(&mut submitter, &arena, 0, &sinks, 4),
+            expected
+        );
         group.bench_with_input(BenchmarkId::new("sequential", n), &arena, |b, arena| {
             b.iter(|| warm.min_max_flow(arena, 0, &sinks))
         });
-        group.bench_with_input(BenchmarkId::new("scoped/4", n), &arena, |b, arena| {
-            b.iter(|| min_max_flow_scoped(arena, 0, &sinks, 4))
-        });
-        let mut submitter = FlowSolver::new();
         group.bench_with_input(BenchmarkId::new("pooled/4", n), &arena, |b, arena| {
             b.iter(|| pool.min_max_flow_with(&mut submitter, arena, 0, &sinks, 4))
         });

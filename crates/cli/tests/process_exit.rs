@@ -75,3 +75,54 @@ fn help_flags_exit_zero_with_the_usage() {
         assert!(stdout.contains("USAGE"), "{args:?}: {stdout}");
     }
 }
+
+/// Asserts that `args` fails with exit code 1 and a JSON error naming `expected`.
+fn assert_json_error(args: &[&str], expected: &str) {
+    let output = bmp(args);
+    assert_eq!(output.status.code(), Some(1), "{args:?}: {output:?}");
+    let message = stderr(&output);
+    assert!(message.contains("JSON error"), "{args:?}: {message}");
+    assert!(message.contains(expected), "{args:?}: {message}");
+    assert!(!message.contains(USAGE_HINT), "{args:?}: {message}");
+}
+
+#[test]
+fn instances_violating_the_constructor_invariants_are_json_errors() {
+    for (name, document, expected) in [
+        (
+            "short.json",
+            r#"{"bandwidths":[5.0,1.0],"n":3,"m":0}"#,
+            "expected 1 + n + m",
+        ),
+        (
+            "negative.json",
+            r#"{"bandwidths":[5.0,-1.0],"n":1,"m":0}"#,
+            "invalid bandwidth -1",
+        ),
+        (
+            "empty.json",
+            r#"{"bandwidths":[5.0],"n":0,"m":0}"#,
+            "no receiver",
+        ),
+    ] {
+        let path = temp_file(name, document);
+        let file = path.to_str().unwrap();
+        for command in ["solve", "bounds"] {
+            assert_json_error(&[command, "--instance", file], expected);
+        }
+        std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn schemes_with_a_wrongly_sized_rate_matrix_are_json_errors() {
+    let path = temp_file(
+        "short-rates.json",
+        r#"{"instance":{"bandwidths":[4.0,2.0,2.0,1.0,1.0],"n":4,"m":0},"rates":[0.0,1.0,1.0,1.0,1.0]}"#,
+    );
+    let file = path.to_str().unwrap();
+    let expected = "rate matrix has 5 entries, expected 5×5";
+    assert_json_error(&["verify", "--scheme", file, "--throughput", "1"], expected);
+    assert_json_error(&["simulate", "--scheme", file], expected);
+    std::fs::remove_file(path).ok();
+}

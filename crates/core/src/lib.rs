@@ -28,8 +28,8 @@
 //!   optional coding word, algorithm label, and [`solver::Telemetry`] (flow solves,
 //!   bisection probes, wall time).
 //! * [`solver::EvalCtx`] — the *explicit* evaluation context owning the flow arena and
-//!   solver workspace. It is the primary throughput-evaluation path (the thread-local in
-//!   [`scheme`] remains only as a convenience fallback for ad-hoc calls) and it makes
+//!   solver workspace. It is the throughput-evaluation path of every solver and sweep
+//!   (`BroadcastScheme::throughput` is a one-shot convenience for ad-hoc calls) and it makes
 //!   re-evaluation incremental end-to-end: every scheme mutation is journaled
 //!   ([`scheme`]'s dirty-edge journal), so re-scoring a scheme whose edge set is
 //!   unchanged patches only the journaled capacities into the retained arena — no O(n²)

@@ -71,23 +71,10 @@
 //! assert_eq!(ctx.arena_builds(), 1);
 //! ```
 
-use bmp_flow::{eps, FlowArena, FlowNetwork, FlowSolver};
+use bmp_flow::{eps, FlowArena, FlowSolver};
 use bmp_platform::node::degree_lower_bound;
 use bmp_platform::{Instance, NodeClass, NodeId};
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-thread_local! {
-    /// Convenience fallback workspace for the inherent evaluation methods below.
-    ///
-    /// The *primary* evaluation path is an explicit [`crate::solver::EvalCtx`], which owns
-    /// its own arena + solver, retains the arena across near-identical evaluations, and
-    /// counts flow solves for telemetry; hot paths (the solver registry, experiment
-    /// sweeps, benchmarks) thread one through explicitly. The thread-local only keeps the
-    /// ad-hoc calls (`scheme.throughput()` in tests, examples and one-shot tooling)
-    /// allocation-free without forcing every caller to carry a context.
-    static FLOW_SOLVER: RefCell<FlowSolver> = RefCell::new(FlowSolver::new());
-}
 
 /// Rates below this threshold are treated as "no connection" when counting outdegrees and
 /// building flow networks; they only arise from floating-point dust.
@@ -189,17 +176,36 @@ impl serde::Serialize for BroadcastScheme {
 impl serde::Deserialize for BroadcastScheme {
     /// Rebuilds the scheme with a fresh evaluation identity and an empty journal (a
     /// document knows nothing about the mutation history of the object it came from).
+    ///
+    /// A rate matrix that is not `num_nodes²` entries long is rejected (every accessor
+    /// indexes it as a square matrix), and so is a non-finite rate (a JSON number whose
+    /// exponent overflows), which no flow network can carry.
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
         let obj = value
             .as_object()
             .ok_or_else(|| serde::DeError::expected("map", "BroadcastScheme"))?;
+        let instance: Instance =
+            serde::Deserialize::from_value(serde::field(obj, "instance", "BroadcastScheme")?)?;
+        let rates: Vec<f64> =
+            serde::Deserialize::from_value(serde::field(obj, "rates", "BroadcastScheme")?)?;
+        let n = instance.num_nodes();
+        if rates.len() != n * n {
+            return Err(serde::DeError::custom(format!(
+                "rate matrix has {} entries, expected {n}×{n} = {} for a {n}-node instance",
+                rates.len(),
+                n * n
+            )));
+        }
+        if let Some(idx) = rates.iter().position(|rate| !rate.is_finite()) {
+            return Err(serde::DeError::custom(format!(
+                "rate c_{{{},{}}} is not finite",
+                idx / n,
+                idx % n
+            )));
+        }
         Ok(BroadcastScheme {
-            instance: serde::Deserialize::from_value(serde::field(
-                obj,
-                "instance",
-                "BroadcastScheme",
-            )?)?,
-            rates: serde::Deserialize::from_value(serde::field(obj, "rates", "BroadcastScheme")?)?,
+            instance,
+            rates,
             eval_id: fresh_eval_id(),
             edge_epoch: 0,
             journal_base: 0,
@@ -410,21 +416,10 @@ impl BroadcastScheme {
     }
 
     /// Checks bandwidth, firewall and rate-validity constraints. Returns all violations.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the rate matrix does not have `num_nodes²` entries — possible only for a
-    /// scheme deserialized from a malformed document, which must not validate silently.
     #[must_use]
     pub fn validate(&self) -> Vec<SchemeViolation> {
         let mut violations = Vec::new();
         let n = self.instance.num_nodes();
-        assert_eq!(
-            self.rates.len(),
-            n * n,
-            "rate matrix has {} entries, expected {n}×{n} (malformed scheme document?)",
-            self.rates.len()
-        );
         // Single pass over the rate matrix: per-row totals are accumulated inline instead
         // of re-scanning each row through `sent`.
         for (from, row) in self.rates.chunks_exact(n).enumerate() {
@@ -479,17 +474,6 @@ impl BroadcastScheme {
             })
     }
 
-    /// Converts the scheme into a flow network (one edge per meaningful rate).
-    #[must_use]
-    pub fn to_flow_network(&self) -> FlowNetwork {
-        let n = self.instance.num_nodes();
-        let mut network = FlowNetwork::with_capacity(n, n * n / 2);
-        for (from, to, rate) in self.nonzero_rates() {
-            network.add_edge(from, to, rate);
-        }
-        network
-    }
-
     /// Converts the scheme into the flat CSR arena the flow solvers operate on (one pass
     /// over the nonzero rates).
     #[must_use]
@@ -498,63 +482,19 @@ impl BroadcastScheme {
         FlowArena::from_edges(self.instance.num_nodes(), &edges)
     }
 
-    /// Maximum flow from the source to `receiver` in the scheme's weighted digraph.
-    #[must_use]
-    pub fn max_flow_to(&self, receiver: NodeId) -> f64 {
-        let arena = self.to_flow_arena();
-        FLOW_SOLVER.with(|solver| solver.borrow_mut().max_flow(&arena, 0, receiver))
-    }
-
     /// Throughput of the scheme: `min_k maxflow(C0 → Ck)` over all receivers (Section II-D).
     ///
-    /// Evaluated with the batched CSR kernel: one arena build, then per-receiver max-flows
-    /// in ascending in-capacity order, each capped at the running minimum
-    /// ([`FlowSolver::min_max_flow`]). The result is exactly the minimum of the individual
-    /// max-flows.
+    /// A one-shot convenience: one arena build and a fresh solver, then per-receiver
+    /// max-flows in ascending in-capacity order, each capped at the running minimum
+    /// ([`FlowSolver::min_max_flow`]). The result is exactly the minimum of the
+    /// individual max-flows. Repeated evaluations (searches, sweeps, fan-out across the
+    /// worker pool) go through a [`crate::solver::EvalCtx`], which retains the arena.
     #[must_use]
     pub fn throughput(&self) -> f64 {
         let arena = self.to_flow_arena();
         let receivers: Vec<NodeId> = self.instance.receivers().collect();
-        FLOW_SOLVER.with(|solver| solver.borrow_mut().min_max_flow(&arena, 0, &receivers))
-    }
-
-    /// Like [`BroadcastScheme::throughput`], but fanning the receivers out across the
-    /// persistent worker pool ([`bmp_flow::FlowPool::global`]) with up to `threads`
-    /// concurrent lanes (long-lived workers with warm solver workspaces; this thread
-    /// works a share itself).
-    ///
-    /// Worth it for large instances only; the sequential batched evaluator wins below a
-    /// few hundred nodes. The pool is shared and capped, so calls from inside an
-    /// already-parallel sweep stay bounded — but such callers should still prefer
-    /// [`BroadcastScheme::throughput`], as the outer fan-out owns the cores. Searches
-    /// re-evaluating near-identical schemes should use an
-    /// [`crate::solver::EvalCtx`] with [`crate::solver::EvalCtx::set_parallelism`]
-    /// instead: it retains the arena across probes, which this convenience method
-    /// rebuilds per call.
-    #[must_use]
-    pub fn throughput_parallel(&self, threads: usize) -> f64 {
-        let receivers: Vec<NodeId> = self.instance.receivers().collect();
-        if threads.min(receivers.len()) <= 1 {
-            return self.throughput();
-        }
-        let arena = std::sync::Arc::new(self.to_flow_arena());
-        bmp_flow::FlowPool::global().min_max_flow(&arena, 0, &receivers, threads)
-    }
-
-    /// [`BroadcastScheme::throughput`] with the worker count picked by
-    /// [`bmp_flow::suggested_flow_threads`]: sequential below the fan-out break-even
-    /// (small instances), scoped-thread parallel above it (n ≥ 1000 overlays).
-    #[must_use]
-    pub fn throughput_auto(&self) -> f64 {
-        let threads = bmp_flow::suggested_flow_threads(
-            self.instance.num_nodes(),
-            self.instance.receivers().count(),
-        );
-        if threads <= 1 {
-            self.throughput()
-        } else {
-            self.throughput_parallel(threads)
-        }
+        FlowSolver::with_capacity(arena.num_nodes(), arena.num_edges())
+            .min_max_flow(&arena, 0, &receivers)
     }
 
     /// Topological order of the scheme's digraph if it is acyclic, `None` otherwise.
@@ -633,6 +573,7 @@ impl BroadcastScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::EvalCtx;
     use bmp_platform::paper::figure1;
 
     /// An optimal cyclic scheme of throughput 4.4 for the Figure 1 instance (the rates differ
@@ -800,14 +741,16 @@ mod tests {
             s
         };
         for (scheme, expected) in [(figure1_optimal_scheme(), 4.4), (figure2_scheme, 4.0)] {
+            let mut ctx = EvalCtx::new();
             let naive = scheme
                 .instance()
                 .receivers()
-                .map(|k| scheme.max_flow_to(k))
+                .map(|k| ctx.max_flow_to(&scheme, k))
                 .fold(f64::INFINITY, f64::min);
             let batched = scheme.throughput();
             assert_eq!(batched, naive, "batched {batched} vs naive {naive}");
-            let parallel = scheme.throughput_parallel(4);
+            ctx.set_parallelism(4);
+            let parallel = ctx.throughput(&scheme);
             assert_eq!(parallel, naive, "parallel {parallel} vs naive {naive}");
             assert!(
                 (batched - expected).abs() < 1e-9,
@@ -821,9 +764,10 @@ mod tests {
         let mut s = BroadcastScheme::new(figure1());
         s.set_rate(0, 1, 3.0);
         s.set_rate(1, 2, 2.0);
-        assert!((s.max_flow_to(1) - 3.0).abs() < 1e-9);
-        assert!((s.max_flow_to(2) - 2.0).abs() < 1e-9);
-        assert_eq!(s.max_flow_to(5), 0.0);
+        let mut ctx = EvalCtx::new();
+        assert!((ctx.max_flow_to(&s, 1) - 3.0).abs() < 1e-9);
+        assert!((ctx.max_flow_to(&s, 2) - 2.0).abs() < 1e-9);
+        assert_eq!(ctx.max_flow_to(&s, 5), 0.0);
     }
 
     /// Mutates the serialized form of `scheme` through the JSON value model and
@@ -831,7 +775,7 @@ mod tests {
     fn rebuild_with_rates(
         scheme: &BroadcastScheme,
         edit: impl FnOnce(&mut Vec<serde::Value>),
-    ) -> BroadcastScheme {
+    ) -> Result<BroadcastScheme, serde_json::Error> {
         let json = serde_json::to_string(scheme).unwrap();
         let mut value: serde::Value = serde_json::from_str(&json).unwrap();
         let serde::Value::Object(fields) = &mut value else {
@@ -846,7 +790,7 @@ mod tests {
             panic!("rates serialize as an array");
         };
         edit(items);
-        serde_json::from_str(&serde_json::to_string(&value).unwrap()).unwrap()
+        serde_json::from_str(&serde_json::to_string(&value).unwrap())
     }
 
     #[test]
@@ -855,7 +799,8 @@ mod tests {
         // forbid; validation must flag it (and count it against the sender's bandwidth).
         let tampered = rebuild_with_rates(&BroadcastScheme::new(figure1()), |rates| {
             rates[0] = serde::Value::F64(1000.0); // c_{0,0}
-        });
+        })
+        .unwrap();
         let violations = tampered.validate();
         assert!(violations
             .iter()
@@ -866,12 +811,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "malformed scheme document")]
-    fn validate_rejects_truncated_rate_matrix() {
-        let truncated = rebuild_with_rates(&figure1_optimal_scheme(), |rates| {
+    fn deserialization_rejects_truncated_rate_matrix() {
+        let error = rebuild_with_rates(&figure1_optimal_scheme(), |rates| {
             rates.pop();
-        });
-        let _ = truncated.validate();
+        })
+        .unwrap_err();
+        assert!(
+            error
+                .to_string()
+                .contains("rate matrix has 35 entries, expected 6×6"),
+            "{error}"
+        );
+    }
+
+    #[test]
+    fn deserialization_rejects_a_non_finite_rate() {
+        // `1e999` overflows to infinity when parsed.
+        let document =
+            r#"{"instance":{"bandwidths":[4.0,2.0],"n":1,"m":0},"rates":[0.0,1e999,0.0,0.0]}"#;
+        let error = serde_json::from_str::<BroadcastScheme>(document).unwrap_err();
+        assert!(
+            error.to_string().contains("rate c_{0,1} is not finite"),
+            "{error}"
+        );
     }
 
     #[test]
@@ -967,8 +929,11 @@ mod tests {
 
     #[test]
     fn throughput_auto_matches_sequential_evaluation() {
+        // A fresh context picks its fan-out per evaluation (parallelism 0).
         let s = figure1_optimal_scheme();
-        assert_eq!(s.throughput_auto(), s.throughput());
+        let mut ctx = EvalCtx::new();
+        assert_eq!(ctx.parallelism(), 0);
+        assert_eq!(ctx.throughput(&s), s.throughput());
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! * [`Solution`] — scheme + claimed throughput + optional coding word + algorithm label
 //!   \+ [`Telemetry`] (flow solves, bisection probes, wall time),
 //! * [`EvalCtx`] — an *explicit* flow-evaluation workspace owning the
-//!   [`FlowArena`] and [`FlowSolver`]. It replaces the hidden thread-local in
-//!   [`crate::scheme`] as the primary evaluation path and retains the arena across
-//!   evaluations. Scheme evaluations are incremental end-to-end: the context consumes
-//!   the dirty-edge journal of [`BroadcastScheme`] (see the `scheme` module docs), so a
-//!   re-evaluation of a scheme whose edge *set* is unchanged skips the O(n²) rate-matrix
-//!   scan entirely and patches only the journaled capacities into the cached arena
+//!   [`FlowArena`] and [`FlowSolver`]. It is the evaluation path of every solver,
+//!   search and sweep (`BroadcastScheme::throughput` is only a one-shot convenience)
+//!   and retains the arena across evaluations. Scheme evaluations are incremental
+//!   end-to-end: the context consumes the dirty-edge journal of [`BroadcastScheme`]
+//!   (see the `scheme` module docs), so a re-evaluation of a scheme whose edge *set* is
+//!   unchanged skips the O(n²) rate-matrix scan entirely and patches only the
+//!   journaled capacities into the cached arena
 //!   ([`FlowArena::patch_edge_capacities`], resolved through a CSR edge-index map the
 //!   context maintains). An edge-set change (epoch bump), a different scheme object, or
 //!   a stale journal cursor falls back to the scan-plus-rewrite path
@@ -26,7 +27,7 @@
 //!
 //! # Parallel evaluation
 //!
-//! [`EvalCtx::set_parallelism`] switches `throughput` evaluations onto the process-wide
+//! [`EvalCtx::set_parallelism`] switches multi-sink evaluations onto the process-wide
 //! persistent worker pool ([`bmp_flow::FlowPool::global`]): the journaled (or scanned)
 //! capacities are patched into the retained arena exactly as in the sequential path,
 //! then the per-receiver max-flows fan out across long-lived workers, the submitting
@@ -139,36 +140,26 @@ struct JournalAssoc {
 #[derive(Debug, Clone)]
 pub struct EvalCtx {
     solver: FlowSolver,
-    /// Retained arena. Behind an [`Arc`] so parallel evaluations can hand it to the
-    /// persistent worker pool without copying; in steady state the context is the sole
-    /// owner (workers drop their clones before an evaluation returns), so
-    /// [`Arc::make_mut`] patches it in place exactly like a plain field.
-    arena: Option<Arc<FlowArena>>,
-    arena_nodes: usize,
-    /// Endpoints of the cached arena's edges, in edge order.
-    arena_edges: Vec<(NodeId, NodeId)>,
-    /// `(from, to) → edge index` into the cached arena; rebuilt lazily after an arena
+    /// Retained arena of scheme evaluations ([`EvalCtx::throughput`],
+    /// [`EvalCtx::max_flow_to`]), patched from the scheme's dirty-edge journal.
+    scheme_arena: CachedArena,
+    /// `(from, to) → edge index` into the scheme arena; rebuilt lazily after an arena
     /// rebuild, valid as long as the edge set is unchanged.
     edge_index: std::collections::HashMap<(NodeId, NodeId), u32>,
     edge_index_valid: bool,
-    /// Which scheme object (and journal position) the cached arena is current for.
+    /// Which scheme object (and journal position) the scheme arena is current for.
     journal_assoc: Option<JournalAssoc>,
     /// Retained arena of *explicit-edge* evaluations ([`EvalCtx::min_max_flow`] — the
     /// churn residual path), kept separate from the scheme arena so interleaving the two
     /// kinds of evaluation costs neither its cache: a residual probe between two
-    /// journaled scheme re-probes no longer severs the journal association, and a sweep
-    /// alternating the two reuses both arenas in place. Behind an [`Arc`] for the same
-    /// reason as `arena`: the worker pool borrows it for the call.
-    explicit_arena: Option<Arc<FlowArena>>,
-    explicit_nodes: usize,
-    /// Endpoints of the cached explicit arena's edges, in edge order.
-    explicit_edges: Vec<(NodeId, NodeId)>,
-    /// Fan-out of `throughput` evaluations: `0` the per-evaluation size heuristic
+    /// journaled scheme re-probes does not sever the journal association, and a sweep
+    /// alternating the two reuses both arenas in place.
+    explicit_arena: CachedArena,
+    /// Fan-out of multi-sink evaluations: `0` the per-evaluation size heuristic
     /// (default), `1` sequential, `> 1` dispatch onto the shared worker pool.
     parallelism: usize,
     scratch_edges: Vec<(NodeId, NodeId, f64)>,
     scratch_filtered: Vec<(NodeId, NodeId, f64)>,
-    scratch_caps: Vec<f64>,
     scratch_patches: Vec<(usize, f64)>,
     scratch_sinks: Vec<NodeId>,
     tolerance: f64,
@@ -210,19 +201,14 @@ impl EvalCtx {
     pub fn with_tolerance(tolerance: f64) -> Self {
         EvalCtx {
             solver: FlowSolver::new(),
-            arena: None,
-            arena_nodes: 0,
-            arena_edges: Vec::new(),
+            scheme_arena: CachedArena::default(),
             edge_index: std::collections::HashMap::new(),
             edge_index_valid: false,
             journal_assoc: None,
-            explicit_arena: None,
-            explicit_nodes: 0,
-            explicit_edges: Vec::new(),
+            explicit_arena: CachedArena::default(),
             parallelism: 0,
             scratch_edges: Vec::new(),
             scratch_filtered: Vec::new(),
-            scratch_caps: Vec::new(),
             scratch_patches: Vec::new(),
             scratch_sinks: Vec::new(),
             tolerance,
@@ -338,12 +324,9 @@ impl EvalCtx {
     /// `threads > 1` dispatches the per-receiver max-flows onto the shared persistent
     /// worker pool ([`FlowPool::global`]) with up to `threads` concurrent lanes.
     ///
-    /// Auto became the default when the heuristic was re-tuned against the persistent
-    /// pool (PR 4 ran contexts sequential-by-default because the scoped fan-out's
-    /// spawn cost could regress small solves): below the size thresholds — every
-    /// conformance instance, and any machine without available parallelism — auto
-    /// resolves to the same sequential path as `1`, and above them the pool is a
-    /// strict improvement, so the promotion costs nothing where fan-out cannot win.
+    /// Below the heuristic's size thresholds — every conformance instance, and any
+    /// machine without available parallelism — auto resolves to the same sequential
+    /// path as `1`, so the default costs nothing where fan-out cannot win.
     ///
     /// Values and telemetry counters are bit-for-bit independent of this setting; only
     /// wall time changes. Contexts used *inside* an already-parallel sweep should be
@@ -397,38 +380,20 @@ impl EvalCtx {
 
     /// Throughput of `scheme` (`min_k maxflow(source → C_k)`), evaluated through the
     /// retained arena (journal-patched when possible, see the type docs) at the
-    /// configured parallelism ([`EvalCtx::set_parallelism`]; sequential by default).
+    /// configured parallelism ([`EvalCtx::set_parallelism`]; auto by default).
     pub fn throughput(&mut self, scheme: &BroadcastScheme) -> f64 {
-        self.throughput_with_threads(scheme, self.parallelism)
-    }
-
-    /// [`EvalCtx::throughput`] at an explicit fan-out, overriding the configured
-    /// parallelism for this one evaluation (`0` = size heuristic, `1` = sequential).
-    /// Same journal fast path, same telemetry, bit-identical value.
-    pub fn throughput_parallel(&mut self, scheme: &BroadcastScheme, threads: usize) -> f64 {
-        self.throughput_with_threads(scheme, threads)
-    }
-
-    fn throughput_with_threads(&mut self, scheme: &BroadcastScheme, threads: usize) -> f64 {
         self.ensure_scheme_arena(scheme);
         let mut sinks = std::mem::take(&mut self.scratch_sinks);
         sinks.clear();
         sinks.extend(scheme.instance().receivers());
         self.flow_solves += sinks.len() as u64;
-        let arena = self.arena.as_ref().expect("arena prepared above");
-        let threads = match threads {
-            0 => suggested_flow_threads(arena.num_nodes(), sinks.len()),
-            explicit => explicit,
-        };
-        let value = if threads > 1 {
-            // The pool borrows the arena Arc for the call and the submitter share runs
-            // on this context's own solver; every worker clone is dropped before the
-            // call returns, so the retained arena stays uniquely owned (in-place
-            // journal patches keep working without a copy).
-            FlowPool::global().min_max_flow_with(&mut self.solver, arena, 0, &sinks, threads)
-        } else {
-            self.solver.min_max_flow(arena, 0, &sinks)
-        };
+        let value = min_max_flow_at(
+            &mut self.solver,
+            self.scheme_arena.arena(),
+            0,
+            &sinks,
+            self.parallelism,
+        );
         self.scratch_sinks = sinks;
         value
     }
@@ -438,15 +403,14 @@ impl EvalCtx {
     pub fn max_flow_to(&mut self, scheme: &BroadcastScheme, receiver: NodeId) -> f64 {
         self.ensure_scheme_arena(scheme);
         self.flow_solves += 1;
-        let arena = self.arena.as_ref().expect("arena prepared above");
-        self.solver.max_flow(arena, 0, receiver)
+        self.solver.max_flow(self.scheme_arena.arena(), 0, receiver)
     }
 
     /// `min_k maxflow(source → sinks_k)` over an explicit edge list (the entry point for
     /// evaluations that are not a whole scheme, e.g. survivor overlays in the churn
     /// analysis). Returns `f64::INFINITY` when `sinks` is empty.
     ///
-    /// The evaluation runs on a *per-call* retained arena of its own (in-place capacity
+    /// The evaluation runs on the context's explicit-edge arena (in-place capacity
     /// rewrite when the explicit edge set is unchanged, rebuild otherwise), so it leaves
     /// the scheme arena — and with it any dirty-edge-journal association — untouched,
     /// and it honours the configured parallelism ([`EvalCtx::set_parallelism`]): at a
@@ -460,18 +424,19 @@ impl EvalCtx {
         source: NodeId,
         sinks: &[NodeId],
     ) -> f64 {
-        self.prepare_explicit_arena(num_nodes, edges);
-        self.flow_solves += sinks.len() as u64;
-        let arena = self.explicit_arena.as_ref().expect("arena prepared above");
-        let threads = match self.parallelism {
-            0 => suggested_flow_threads(num_nodes, sinks.len()),
-            explicit => explicit,
-        };
-        if threads > 1 {
-            FlowPool::global().min_max_flow_with(&mut self.solver, arena, source, sinks, threads)
+        if self.explicit_arena.prepare(num_nodes, edges) {
+            self.arena_builds += 1;
         } else {
-            self.solver.min_max_flow(arena, source, sinks)
+            self.arena_updates += 1;
         }
+        self.flow_solves += sinks.len() as u64;
+        min_max_flow_at(
+            &mut self.solver,
+            self.explicit_arena.arena(),
+            source,
+            sinks,
+            self.parallelism,
+        )
     }
 
     /// Like [`EvalCtx::min_max_flow`], but the edge list is produced by `fill` into a
@@ -498,16 +463,24 @@ impl EvalCtx {
         value
     }
 
-    /// Points the cached arena at `scheme`'s current rates: a sparse journal patch when
-    /// the cached arena is current for this scheme object's edge set, the scan-based
-    /// [`EvalCtx::prepare_arena`] path otherwise.
+    /// Points the scheme arena at `scheme`'s current rates: a sparse journal patch when
+    /// the arena is current for this scheme object's edge set, a scan of the rate
+    /// matrix followed by [`CachedArena::prepare`] otherwise.
     fn ensure_scheme_arena(&mut self, scheme: &BroadcastScheme) {
         if self.try_patch_from_journal(scheme) {
             return;
         }
         let mut edges = std::mem::take(&mut self.scratch_edges);
         scheme.edges_into(&mut edges);
-        self.prepare_arena(scheme.instance().num_nodes(), &edges);
+        if self
+            .scheme_arena
+            .prepare(scheme.instance().num_nodes(), &edges)
+        {
+            self.edge_index_valid = false;
+            self.arena_builds += 1;
+        } else {
+            self.arena_updates += 1;
+        }
         self.scratch_edges = edges;
         self.journal_assoc = Some(JournalAssoc {
             scheme_id: scheme.eval_id(),
@@ -530,7 +503,7 @@ impl EvalCtx {
             || assoc.epoch != scheme.edge_epoch()
             || assoc.cursor < base
             || assoc.cursor > end
-            || self.arena.is_none()
+            || self.scheme_arena.arena.is_none()
         {
             return false;
         }
@@ -548,7 +521,8 @@ impl EvalCtx {
             };
             patches.push((edge as usize, scheme.rate(from, to)));
         }
-        Arc::make_mut(self.arena.as_mut().expect("checked above")).patch_edge_capacities(&patches);
+        Arc::make_mut(self.scheme_arena.arena.as_mut().expect("checked above"))
+            .patch_edge_capacities(&patches);
         self.rescans_skipped += 1;
         self.edges_patched += patches.len() as u64;
         self.scratch_patches = patches;
@@ -566,77 +540,92 @@ impl EvalCtx {
             return;
         }
         self.edge_index.clear();
-        self.edge_index.reserve(self.arena_edges.len());
-        for (k, &(from, to)) in self.arena_edges.iter().enumerate() {
+        self.edge_index.reserve(self.scheme_arena.edges.len());
+        for (k, &(from, to)) in self.scheme_arena.edges.iter().enumerate() {
             self.edge_index.insert((from, to), k as u32);
         }
         self.edge_index_valid = true;
     }
+}
 
-    /// Points the cached *explicit-edge* arena at `edges`: an in-place capacity rewrite
-    /// when the edge set (endpoints, in order) is unchanged, a CSR rebuild otherwise.
-    /// Mirrors [`EvalCtx::prepare_arena`] on the explicit fields; the scheme arena and
-    /// its journal association are never touched.
-    fn prepare_explicit_arena(&mut self, num_nodes: usize, edges: &[(NodeId, NodeId, f64)]) {
-        let reusable = self.explicit_arena.is_some()
-            && self.explicit_nodes == num_nodes
-            && self.explicit_edges.len() == edges.len()
+/// A retained CSR arena plus the edge endpoints it was built over.
+///
+/// The arena sits behind an [`Arc`] so parallel evaluations can hand it to the
+/// persistent worker pool without copying; in steady state the owner is the sole holder
+/// (workers drop their clones before an evaluation returns), so [`Arc::make_mut`]
+/// patches it in place exactly like a plain field.
+#[derive(Debug, Clone, Default)]
+struct CachedArena {
+    arena: Option<Arc<FlowArena>>,
+    nodes: usize,
+    /// Endpoints of the arena's edges, in edge order.
+    edges: Vec<(NodeId, NodeId)>,
+    /// Capacity scratch for in-place rewrites.
+    caps: Vec<f64>,
+}
+
+impl CachedArena {
+    /// Points the arena at `edges`: an in-place capacity rewrite when the edge set
+    /// (endpoints, in order) is unchanged, a CSR rebuild otherwise. Returns whether the
+    /// arena was rebuilt.
+    fn prepare(&mut self, num_nodes: usize, edges: &[(NodeId, NodeId, f64)]) -> bool {
+        let reusable = self.nodes == num_nodes
+            && self.edges.len() == edges.len()
             && self
-                .explicit_edges
+                .edges
                 .iter()
                 .zip(edges)
                 .all(|(&(from, to), &(from2, to2, _))| from == from2 && to == to2);
-        if reusable {
-            self.scratch_caps.clear();
-            self.scratch_caps
-                .extend(edges.iter().map(|&(_, _, cap)| cap));
-            Arc::make_mut(
-                self.explicit_arena
-                    .as_mut()
-                    .expect("reusable implies present"),
-            )
-            .set_edge_capacities(&self.scratch_caps);
-            self.arena_updates += 1;
-        } else {
-            self.explicit_arena = Some(Arc::new(FlowArena::from_edges(num_nodes, edges)));
-            self.explicit_nodes = num_nodes;
-            self.explicit_edges.clear();
-            self.explicit_edges
-                .extend(edges.iter().map(|&(from, to, _)| (from, to)));
-            self.arena_builds += 1;
+        match self.arena.as_mut() {
+            Some(arena) if reusable => {
+                self.caps.clear();
+                self.caps.extend(edges.iter().map(|&(_, _, cap)| cap));
+                Arc::make_mut(arena).set_edge_capacities(&self.caps);
+                false
+            }
+            _ => {
+                self.arena = Some(Arc::new(FlowArena::from_edges(num_nodes, edges)));
+                self.nodes = num_nodes;
+                self.edges.clear();
+                self.edges
+                    .extend(edges.iter().map(|&(from, to, _)| (from, to)));
+                true
+            }
         }
     }
 
-    /// Points the cached arena at `edges`: an in-place capacity rewrite when the edge
-    /// set (endpoints, in order) is unchanged, a CSR rebuild otherwise. Severs any
-    /// journal association (the caller re-establishes it when `edges` came from a
-    /// scheme).
-    fn prepare_arena(&mut self, num_nodes: usize, edges: &[(NodeId, NodeId, f64)]) {
-        self.journal_assoc = None;
-        let reusable = self.arena.is_some()
-            && self.arena_nodes == num_nodes
-            && self.arena_edges.len() == edges.len()
-            && self
-                .arena_edges
-                .iter()
-                .zip(edges)
-                .all(|(&(from, to), &(from2, to2, _))| from == from2 && to == to2);
-        if reusable {
-            self.scratch_caps.clear();
-            self.scratch_caps
-                .extend(edges.iter().map(|&(_, _, cap)| cap));
-            Arc::make_mut(self.arena.as_mut().expect("reusable implies present"))
-                .set_edge_capacities(&self.scratch_caps);
-            self.arena_updates += 1;
-        } else {
-            self.arena = Some(Arc::new(FlowArena::from_edges(num_nodes, edges)));
-            self.arena_nodes = num_nodes;
-            self.arena_edges.clear();
-            self.arena_edges
-                .extend(edges.iter().map(|&(from, to, _)| (from, to)));
-            self.edge_index_valid = false;
-            self.arena_builds += 1;
-        }
+    /// The prepared arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`CachedArena::prepare`] was never called.
+    fn arena(&self) -> &Arc<FlowArena> {
+        self.arena.as_ref().expect("arena prepared before use")
+    }
+}
+
+/// `min_k maxflow(source → sinks_k)` on `arena` at fan-out `threads` (`0` = the
+/// [`suggested_flow_threads`] heuristic): on the shared worker pool above one lane, the
+/// submitter's share running on `solver`, and sequentially on `solver` otherwise. The
+/// value is bit-identical either way.
+fn min_max_flow_at(
+    solver: &mut FlowSolver,
+    arena: &Arc<FlowArena>,
+    source: NodeId,
+    sinks: &[NodeId],
+    threads: usize,
+) -> f64 {
+    let threads = match threads {
+        0 => suggested_flow_threads(arena.num_nodes(), sinks.len()),
+        explicit => explicit,
+    };
+    if threads > 1 {
+        // The pool borrows the arena Arc for the call; every worker clone is dropped
+        // before the call returns, so the retained arena stays uniquely owned (in-place
+        // patches keep working without a copy).
+        FlowPool::global().min_max_flow_with(solver, arena, source, sinks, threads)
+    } else {
+        solver.min_max_flow(arena, source, sinks)
     }
 }
 
@@ -1185,13 +1174,13 @@ mod tests {
         assert_eq!(par.edges_patched(), seq.edges_patched());
         assert_eq!(par.arena_builds(), seq.arena_builds());
         assert_eq!(par.arena_updates(), seq.arena_updates());
-        // One-shot overrides agree too, including the auto heuristic (sequential at
-        // this size) and an explicit fan-out wider than the receiver count.
+        // Other fan-outs agree too, including the auto heuristic (sequential at this
+        // size) and an explicit fan-out wider than the receiver count.
         let expected = seq.throughput(&scheme);
-        assert_eq!(par.throughput_parallel(&scheme, 0), expected);
-        assert_eq!(par.throughput_parallel(&scheme, 2), expected);
-        assert_eq!(par.throughput_parallel(&scheme, 64), expected);
-        assert_eq!(seq.throughput_parallel(&scheme, 3), expected);
+        for threads in [0usize, 2, 64, 3] {
+            par.set_parallelism(threads);
+            assert_eq!(par.throughput(&scheme), expected, "threads {threads}");
+        }
     }
 
     #[test]
@@ -1218,6 +1207,21 @@ mod tests {
     }
 
     #[test]
+    fn cached_arena_rewrites_in_place_until_the_edge_set_changes() {
+        let mut cache = CachedArena::default();
+        let edges = [(0, 1, 2.0), (1, 2, 1.0)];
+        assert!(cache.prepare(3, &edges), "the first preparation builds");
+        // Same endpoints, new capacities: rewritten in place, equal to a rebuild.
+        let moved = [(0, 1, 0.5), (1, 2, 3.0)];
+        assert!(!cache.prepare(3, &moved));
+        assert_eq!(**cache.arena(), FlowArena::from_edges(3, &moved));
+        // A different edge set, or a different node count, rebuilds.
+        assert!(cache.prepare(3, &[(0, 2, 1.0), (1, 2, 3.0)]));
+        assert!(cache.prepare(4, &[(0, 2, 1.0), (1, 2, 3.0)]));
+        assert_eq!(cache.arena().num_nodes(), 4);
+    }
+
+    #[test]
     fn eval_ctx_max_flow_matches_scheme_method() {
         let instance = figure1();
         let solution = AcyclicGuardedAlgorithm
@@ -1227,7 +1231,7 @@ mod tests {
         for receiver in instance.receivers() {
             assert_eq!(
                 ctx.max_flow_to(&solution.scheme, receiver),
-                solution.scheme.max_flow_to(receiver)
+                FlowSolver::new().max_flow(&solution.scheme.to_flow_arena(), 0, receiver)
             );
         }
     }

@@ -458,7 +458,7 @@ proptest! {
             "an edge-set change must not take the journal path");
     }
 
-    /// `EvalCtx::throughput_parallel` (the persistent-pool fan-out) must equal
+    /// Pooled evaluation (`EvalCtx::set_parallelism`, the persistent-pool fan-out) must equal
     /// sequential evaluation **bit-identically** — values and telemetry counters — on
     /// random overlays at every fan-out in {1, 2, 4}.
     /// Runs the same probe sequence (nominal evaluation, then two rounds of journaled

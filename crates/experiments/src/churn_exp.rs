@@ -208,8 +208,8 @@ pub fn run(quick: bool, threads: usize) -> ChurnReport {
                 .map(|t| t as u64 * 7919 + receivers as u64)
                 .collect();
             // One EvalCtx per worker: the flow workspace is reused across that worker's
-            // whole chunk instead of leaning on the scheme.rs thread-local. Its flow
-            // fan-out never stacks on the sweep's own (`eval_parallelism`).
+            // whole chunk. Its flow fan-out never stacks on the sweep's own
+            // (`eval_parallelism`).
             let worker_ctx = || {
                 let mut ctx = EvalCtx::new();
                 ctx.set_parallelism(crate::parallel::eval_parallelism(threads));

@@ -1,14 +1,13 @@
 //! CSR flow kernel: a flat arc arena plus a reusable solver workspace.
 //!
 //! Every algorithm in the workspace scores schemes through `min_k maxflow(source → C_k)`,
-//! so the flow substrate is the hottest layer of the codebase. This module replaces the
-//! former pointer-chasing `Vec<Vec<usize>>` residual representation with:
+//! so the flow substrate is the hottest layer of the codebase. It consists of:
 //!
 //! * [`FlowArena`] — an immutable compressed-sparse-row (CSR) arc arena built once per
 //!   network: flat `start`/`to`/`partner`/`base_cap` arrays, residual arcs of a node stored
 //!   contiguously for cache-friendly scans, plus a precomputed per-node in-capacity.
-//! * [`FlowSolver`] — a reusable workspace owning every mutable buffer the solvers need
-//!   (residual capacities, BFS levels, current-arc cursors, queues, push-relabel state).
+//! * [`FlowSolver`] — a reusable Dinic workspace owning every mutable buffer a solve
+//!   needs (residual capacities, BFS levels, current-arc cursors, the BFS queue).
 //!   After warm-up, repeated solves perform **no heap allocation**: buffers are cleared and
 //!   refilled in place (this is asserted by a counting-allocator test).
 //! * [`FlowSolver::min_max_flow`] — the batched multi-sink evaluator behind
@@ -16,17 +15,10 @@
 //!   tight minimum is found early, and each subsequent max-flow is capped at the running
 //!   minimum (a sink whose flow reaches the cap cannot lower the minimum, so its solve
 //!   terminates early). The result is exactly equal to evaluating every sink in full.
-//! * [`min_max_flow_parallel`] — the same evaluation fanned out over the persistent
-//!   worker pool ([`crate::pool::FlowPool`]) for large instances, one long-lived solver
-//!   workspace per worker, sharing the running minimum through an atomic so late sinks
-//!   still benefit from early-exit caps. [`min_max_flow_scoped`] keeps the old per-call
-//!   scoped-thread fan-out as the A/B baseline.
+//!   [`crate::pool::FlowPool::min_max_flow_with`] fans the same evaluation out over the
+//!   persistent worker pool.
 
 use crate::eps;
-use crate::graph::{FlowNetwork, FlowResult};
-
-/// Sentinel for "no arc" in parent arrays.
-const NO_ARC: u32 = u32::MAX;
 
 /// Immutable CSR residual arena for one network.
 ///
@@ -130,17 +122,6 @@ impl FlowArena {
             in_start,
             in_edges,
         }
-    }
-
-    /// Builds the arena from a [`FlowNetwork`] (same arc order as edge insertion order).
-    #[must_use]
-    pub fn from_network(network: &FlowNetwork) -> Self {
-        let edges: Vec<(usize, usize, f64)> = network
-            .edges()
-            .iter()
-            .map(|e| (e.from, e.to, e.capacity))
-            .collect();
-        FlowArena::from_edges(network.num_nodes(), &edges)
     }
 
     /// Number of nodes.
@@ -265,8 +246,8 @@ impl FlowArena {
     /// Fills `order` with `sinks` sorted ascending by in-capacity (ties by node id).
     ///
     /// This is the evaluation order shared by [`FlowSolver::min_max_flow`] and
-    /// [`min_max_flow_parallel`]; the two must visit sinks identically, so the ordering
-    /// lives in one place. Reuses `order`'s allocation.
+    /// [`crate::pool::FlowPool::min_max_flow_with`]; the two must visit sinks
+    /// identically, so the ordering lives in one place. Reuses `order`'s allocation.
     ///
     /// # Panics
     ///
@@ -300,18 +281,8 @@ pub struct FlowSolver {
     level: Vec<i32>,
     /// Current-arc cursor of each node, an absolute CSR position (Dinic).
     iter: Vec<u32>,
-    /// BFS queue (Dinic, Edmonds–Karp) / FIFO ring buffer (push-relabel).
+    /// BFS queue (Dinic).
     queue: Vec<u32>,
-    /// Arc used to reach each node (Edmonds–Karp).
-    parent_arc: Vec<u32>,
-    /// Bottleneck capacity along the BFS tree path (Edmonds–Karp).
-    bottleneck: Vec<f64>,
-    /// Node heights (push-relabel).
-    height: Vec<u32>,
-    /// Node excesses (push-relabel).
-    excess: Vec<f64>,
-    /// Whether a node is queued (push-relabel).
-    in_queue: Vec<bool>,
     /// Sink ordering scratch for [`FlowSolver::min_max_flow`].
     sinks: Vec<u32>,
 }
@@ -407,37 +378,6 @@ impl FlowSolver {
         total
     }
 
-    /// Maximum flow with per-edge flow extraction (Dinic).
-    pub fn max_flow_result(&mut self, arena: &FlowArena, source: usize, sink: usize) -> FlowResult {
-        assert!(source < arena.num_nodes, "source out of range");
-        assert!(sink < arena.num_nodes, "sink out of range");
-        if source == sink {
-            // `max_flow` skips the solve (and the capacity load) for this case, so there
-            // is no residual state to extract flows from.
-            return FlowResult {
-                value: 0.0,
-                edge_flows: vec![0.0; arena.num_edges],
-            };
-        }
-        let value = self.max_flow(arena, source, sink);
-        FlowResult {
-            value,
-            edge_flows: self.extract_edge_flows(arena),
-        }
-    }
-
-    /// Per-edge flows of the last solve: original capacity minus remaining forward residual.
-    fn extract_edge_flows(&self, arena: &FlowArena) -> Vec<f64> {
-        arena
-            .edge_pos
-            .iter()
-            .map(|&pos| {
-                eps::clamp_nonnegative(arena.base_cap[pos as usize] - self.cap[pos as usize])
-                    .max(0.0)
-            })
-            .collect()
-    }
-
     /// Breadth-first search building the Dinic level graph; `true` iff the sink is reachable.
     // The CSR range indexes two parallel arrays (`to` and `cap`); an iterator over one of
     // them would hide that coupling.
@@ -501,166 +441,6 @@ impl FlowSolver {
         0.0
     }
 
-    /// Maximum flow via shortest augmenting paths (Edmonds–Karp), with edge flows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` or `sink` is out of range.
-    pub fn edmonds_karp(&mut self, arena: &FlowArena, source: usize, sink: usize) -> FlowResult {
-        assert!(source < arena.num_nodes, "source out of range");
-        assert!(sink < arena.num_nodes, "sink out of range");
-        if source == sink {
-            return FlowResult {
-                value: 0.0,
-                edge_flows: vec![0.0; arena.num_edges],
-            };
-        }
-        self.load_caps(arena);
-        self.parent_arc.resize(arena.num_nodes, NO_ARC);
-        self.bottleneck.resize(arena.num_nodes, 0.0);
-        self.queue.resize(arena.num_nodes + 1, 0);
-        let mut total = 0.0;
-        loop {
-            self.parent_arc.fill(NO_ARC);
-            self.bottleneck[source] = f64::INFINITY;
-            self.queue[0] = source as u32;
-            let (mut head, mut tail) = (0usize, 1usize);
-            let mut found = 0.0;
-            'bfs: while head < tail {
-                let node = self.queue[head] as usize;
-                head += 1;
-                for arc in arena.start[node] as usize..arena.start[node + 1] as usize {
-                    let to = arena.to[arc] as usize;
-                    if to != source
-                        && self.parent_arc[to] == NO_ARC
-                        && eps::is_positive(self.cap[arc])
-                    {
-                        self.parent_arc[to] = arc as u32;
-                        self.bottleneck[to] = self.bottleneck[node].min(self.cap[arc]);
-                        if to == sink {
-                            found = self.bottleneck[sink];
-                            break 'bfs;
-                        }
-                        self.queue[tail] = to as u32;
-                        tail += 1;
-                    }
-                }
-            }
-            if !eps::is_positive(found) {
-                break;
-            }
-            total += found;
-            let mut node = sink;
-            while node != source {
-                let arc = self.parent_arc[node] as usize;
-                self.cap[arc] -= found;
-                let partner = arena.partner[arc] as usize;
-                self.cap[partner] += found;
-                node = arena.to[partner] as usize;
-            }
-        }
-        FlowResult {
-            value: total,
-            edge_flows: self.extract_edge_flows(arena),
-        }
-    }
-
-    /// Maximum flow via FIFO push-relabel, with edge flows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` or `sink` is out of range.
-    pub fn push_relabel(&mut self, arena: &FlowArena, source: usize, sink: usize) -> FlowResult {
-        assert!(source < arena.num_nodes, "source out of range");
-        assert!(sink < arena.num_nodes, "sink out of range");
-        if source == sink {
-            return FlowResult {
-                value: 0.0,
-                edge_flows: vec![0.0; arena.num_edges],
-            };
-        }
-        self.load_caps(arena);
-        let n = arena.num_nodes;
-        self.height.resize(n, 0);
-        self.height.fill(0);
-        self.excess.resize(n, 0.0);
-        self.excess.fill(0.0);
-        self.in_queue.resize(n, false);
-        self.in_queue.fill(false);
-        // FIFO ring buffer: `in_queue` guarantees at most one entry per node, so `n + 1`
-        // slots can never overflow.
-        self.queue.resize(n + 1, 0);
-        let ring = n + 1;
-        let (mut head, mut tail) = (0usize, 0usize);
-        self.height[source] = n as u32;
-
-        // Saturate every arc leaving the source.
-        for arc in arena.start[source] as usize..arena.start[source + 1] as usize {
-            let capacity = self.cap[arc];
-            if !eps::is_positive(capacity) {
-                continue;
-            }
-            let to = arena.to[arc] as usize;
-            self.cap[arc] = 0.0;
-            self.cap[arena.partner[arc] as usize] += capacity;
-            self.excess[to] += capacity;
-            self.excess[source] -= capacity;
-            if to != sink && to != source && !self.in_queue[to] {
-                self.in_queue[to] = true;
-                self.queue[tail] = to as u32;
-                tail = (tail + 1) % ring;
-            }
-        }
-
-        while head != tail {
-            let node = self.queue[head] as usize;
-            head = (head + 1) % ring;
-            self.in_queue[node] = false;
-            // Discharge `node`.
-            while eps::is_positive(self.excess[node]) {
-                let mut pushed_any = false;
-                for arc in arena.start[node] as usize..arena.start[node + 1] as usize {
-                    if !eps::is_positive(self.excess[node]) {
-                        break;
-                    }
-                    let to = arena.to[arc] as usize;
-                    if eps::is_positive(self.cap[arc]) && self.height[node] == self.height[to] + 1 {
-                        let delta = self.excess[node].min(self.cap[arc]);
-                        self.cap[arc] -= delta;
-                        self.cap[arena.partner[arc] as usize] += delta;
-                        self.excess[node] -= delta;
-                        self.excess[to] += delta;
-                        pushed_any = true;
-                        if to != source && to != sink && !self.in_queue[to] {
-                            self.in_queue[to] = true;
-                            self.queue[tail] = to as u32;
-                            tail = (tail + 1) % ring;
-                        }
-                    }
-                }
-                if eps::is_positive(self.excess[node]) && !pushed_any {
-                    // Relabel just above the lowest admissible neighbour.
-                    let mut min_height = u32::MAX;
-                    for arc in arena.start[node] as usize..arena.start[node + 1] as usize {
-                        if eps::is_positive(self.cap[arc]) {
-                            min_height = min_height.min(self.height[arena.to[arc] as usize]);
-                        }
-                    }
-                    if min_height == u32::MAX || min_height as usize + 1 > 2 * n {
-                        // The remaining excess cannot reach the sink.
-                        break;
-                    }
-                    self.height[node] = min_height + 1;
-                }
-            }
-        }
-
-        FlowResult {
-            value: self.excess[sink].max(0.0),
-            edge_flows: self.extract_edge_flows(arena),
-        }
-    }
-
     /// Minimum over `sinks` of the maximum flow from `source` — the batched evaluator
     /// behind `BroadcastScheme::throughput`.
     ///
@@ -692,19 +472,16 @@ impl FlowSolver {
     }
 }
 
-/// Worker-count heuristic for [`min_max_flow_parallel`]: how many threads are worth
-/// spawning for a multi-sink evaluation of `num_sinks` sinks on a `num_nodes`-node arena.
+/// Worker-count heuristic for [`crate::pool::FlowPool::min_max_flow_with`]: how many
+/// lanes are worth using for a multi-sink evaluation of `num_sinks` sinks on a
+/// `num_nodes`-node arena.
 ///
 /// Small evaluations are dominated by per-lane warm-up, so the heuristic stays
-/// sequential below 512 nodes or 96 sinks. The original thresholds (1000 nodes / 128
-/// sinks) were tuned against the scoped-thread fan-out, whose per-call cost was a
-/// thread spawn and join per lane; the persistent [`crate::pool::FlowPool`] replaced
-/// that with a queue push to already-warm workers, so the entry bar dropped — the
-/// `worker_pool` group of `crates/bench/benches/throughput.rs` shows the pool matching
-/// the sequential evaluator at sizes where the scoped fan-out still lost. Above the
-/// thresholds it uses the machine's available parallelism, capped at 8 so evaluation
-/// fan-out stays polite inside already-parallel sweeps (on a single-core host it
-/// therefore always returns 1, and fan-out costs nothing where it cannot win).
+/// sequential below 512 nodes or 96 sinks (the persistent pool's per-call cost is a
+/// queue push to already-warm workers, not a thread spawn). Above the thresholds it uses
+/// the machine's available parallelism, capped at 8 so evaluation fan-out stays polite
+/// inside already-parallel sweeps (on a single-core host it therefore always returns 1,
+/// and fan-out costs nothing where it cannot win).
 #[must_use]
 pub fn suggested_flow_threads(num_nodes: usize, num_sinks: usize) -> usize {
     if num_nodes < 512 || num_sinks < 96 {
@@ -716,90 +493,22 @@ pub fn suggested_flow_threads(num_nodes: usize, num_sinks: usize) -> usize {
         .min(8)
 }
 
-/// [`FlowSolver::min_max_flow`] fanned out over the persistent worker pool
-/// ([`crate::pool::FlowPool::global`]).
-///
-/// This is a thin convenience wrapper for borrowed arenas: the pool hands work to
-/// long-lived threads, so the arena is cloned into an [`std::sync::Arc`] for the call
-/// (one memcpy of the CSR arrays — noise next to a multi-sink solve at the sizes where
-/// fan-out pays). Hot paths that evaluate repeatedly should hold an
-/// `Arc<FlowArena>` themselves and call [`crate::pool::FlowPool::min_max_flow_with`]
-/// directly, reusing their submitter workspace and skipping the clone; `bmp-core`'s
-/// evaluation context does exactly that.
-///
-/// `threads <= 1` falls back to the sequential evaluator. Returns `f64::INFINITY` for an
-/// empty `sinks`. The result is bit-for-bit the sequential evaluation either way.
-#[must_use]
-pub fn min_max_flow_parallel(
-    arena: &FlowArena,
-    source: usize,
-    sinks: &[usize],
-    threads: usize,
-) -> f64 {
-    let mut solver = FlowSolver::new();
-    if threads.min(sinks.len()) <= 1 {
-        return solver.min_max_flow(arena, source, sinks);
-    }
-    let arena = std::sync::Arc::new(arena.clone());
-    crate::pool::FlowPool::global().min_max_flow_with(&mut solver, &arena, source, sinks, threads)
-}
-
-/// [`FlowSolver::min_max_flow`] fanned out over per-call scoped threads — the PR-3
-/// fan-out, kept as the A/B baseline the `worker_pool` benchmark group measures the
-/// persistent pool against (and as a fallback for callers that must not share the
-/// process-wide pool).
-///
-/// Each worker owns a private [`FlowSolver`] and pulls sinks from the same
-/// ascending-in-capacity order (strided), publishing the running minimum through an atomic
-/// so every solve is capped by the best bound known so far. Exactness is preserved: a solve
-/// stopped by a (possibly stale, therefore never too small) cap had a flow at least as
-/// large as the final minimum, so discarding its exact value cannot change the result.
-///
-/// `threads <= 1` falls back to the sequential evaluator. Returns `f64::INFINITY` for an
-/// empty `sinks`.
-#[must_use]
-pub fn min_max_flow_scoped(
-    arena: &FlowArena,
-    source: usize,
-    sinks: &[usize],
-    threads: usize,
-) -> f64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let workers = threads.min(sinks.len());
-    if workers <= 1 {
-        return FlowSolver::new().min_max_flow(arena, source, sinks);
-    }
-    let mut order = Vec::new();
-    arena.order_sinks_into(sinks, &mut order);
-    // Non-negative IEEE-754 doubles (flows and +inf) order identically to their bit
-    // patterns, so the shared minimum can be a single `AtomicU64` updated with `fetch_min`.
-    let shared_min = AtomicU64::new(f64::INFINITY.to_bits());
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let order = &order;
-            let shared_min = &shared_min;
-            scope.spawn(move || {
-                let mut solver = FlowSolver::new();
-                let mut index = worker;
-                while index < order.len() {
-                    let cap = f64::from_bits(shared_min.load(Ordering::Acquire));
-                    if cap <= 0.0 {
-                        break;
-                    }
-                    let flow = solver.max_flow_limited(arena, source, order[index] as usize, cap);
-                    shared_min.fetch_min(flow.to_bits(), Ordering::AcqRel);
-                    index += workers;
-                }
-            });
-        }
-    });
-    f64::from_bits(shared_min.load(Ordering::Acquire))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::FlowPool;
+    use std::sync::Arc;
+
+    /// The pooled fan-out of `arena`'s multi-sink evaluation over the global pool.
+    fn pooled(arena: &FlowArena, source: usize, sinks: &[usize], threads: usize) -> f64 {
+        FlowPool::global().min_max_flow_with(
+            &mut FlowSolver::new(),
+            &Arc::new(arena.clone()),
+            source,
+            sinks,
+            threads,
+        )
+    }
 
     fn diamond_arena() -> FlowArena {
         FlowArena::from_edges(
@@ -862,8 +571,7 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         let batched = solver.min_max_flow(&arena, 0, &[1, 2, 3]);
         assert_eq!(batched, naive);
-        assert_eq!(min_max_flow_parallel(&arena, 0, &[1, 2, 3], 3), naive);
-        assert_eq!(min_max_flow_scoped(&arena, 0, &[1, 2, 3], 3), naive);
+        assert_eq!(pooled(&arena, 0, &[1, 2, 3], 3), naive);
     }
 
     #[test]
@@ -873,7 +581,7 @@ mod tests {
             FlowSolver::new().min_max_flow(&arena, 0, &[]),
             f64::INFINITY
         );
-        assert_eq!(min_max_flow_parallel(&arena, 0, &[], 4), f64::INFINITY);
+        assert_eq!(pooled(&arena, 0, &[], 4), f64::INFINITY);
     }
 
     #[test]
@@ -893,19 +601,6 @@ mod tests {
         assert!((solver.max_flow(&larger, 0, 3) - 5.0).abs() < 1e-9);
         let tiny = FlowArena::from_edges(3, &[(0, 2, 0.25)]);
         assert!((solver.max_flow(&tiny, 0, 2) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edmonds_karp_and_push_relabel_agree_on_arena() {
-        let arena = diamond_arena();
-        let mut solver = FlowSolver::new();
-        let dinic = solver.max_flow(&arena, 0, 3);
-        let ek = solver.edmonds_karp(&arena, 0, 3);
-        let pr = solver.push_relabel(&arena, 0, 3);
-        assert!((ek.value - dinic).abs() < 1e-9);
-        assert!((pr.value - dinic).abs() < 1e-9);
-        assert_eq!(ek.edge_flows.len(), arena.num_edges());
-        assert_eq!(pr.edge_flows.len(), arena.num_edges());
     }
 
     #[test]
@@ -1027,7 +722,100 @@ mod tests {
         let sinks: Vec<usize> = (1..n).collect();
         let sequential = FlowSolver::new().min_max_flow(&arena, 0, &sinks);
         assert_eq!(sequential, 0.5);
-        assert_eq!(min_max_flow_parallel(&arena, 0, &sinks, 8), 0.5);
-        assert_eq!(min_max_flow_scoped(&arena, 0, &sinks, 8), 0.5);
+        assert_eq!(pooled(&arena, 0, &sinks, 8), 0.5);
+    }
+    #[test]
+    fn simple_path() {
+        let arena = FlowArena::from_edges(3, &[(0, 1, 2.0), (1, 2, 1.5)]);
+        assert!((FlowSolver::new().max_flow(&arena, 0, 2) - 1.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn diamond_max_flow() {
+        let arena = diamond_arena();
+        assert!((FlowSolver::new().max_flow(&arena, 0, 3) - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn disconnected_sink() {
+        let arena = FlowArena::from_edges(4, &[(0, 1, 2.0), (2, 3, 2.0)]);
+        assert_eq!(FlowSolver::new().max_flow(&arena, 0, 3), 0.0);
+    }
+
+    #[test]
+    fn source_equals_sink() {
+        assert_eq!(FlowSolver::new().max_flow(&diamond_arena(), 1, 1), 0.0);
+    }
+
+    #[test]
+    fn respects_fractional_capacities() {
+        let arena =
+            FlowArena::from_edges(4, &[(0, 1, 0.3), (0, 2, 0.7), (1, 3, 1.0), (2, 3, 0.25)]);
+        assert!((FlowSolver::new().max_flow(&arena, 0, 3) - 0.55).abs() < 1e-9);
+    }
+
+    #[test]
+    fn parallel_edges_accumulate() {
+        let arena = FlowArena::from_edges(2, &[(0, 1, 1.0), (0, 1, 2.5)]);
+        assert!((arena.in_capacity(1) - 3.5).abs() < 1e-12);
+        assert!((FlowSolver::new().max_flow(&arena, 0, 1) - 3.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn back_edges_are_used() {
+        // Classic example where the augmenting path must undo flow on the cross edge.
+        let arena = FlowArena::from_edges(
+            4,
+            &[
+                (0, 1, 1.0),
+                (0, 2, 1.0),
+                (1, 2, 1.0),
+                (1, 3, 1.0),
+                (2, 3, 1.0),
+            ],
+        );
+        assert!((FlowSolver::new().max_flow(&arena, 0, 3) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "source out of range")]
+    fn source_out_of_range() {
+        let _ = FlowSolver::new().max_flow(&diamond_arena(), 9, 3);
+    }
+
+    #[test]
+    fn build_and_query() {
+        let arena = FlowArena::from_edges(4, &[(0, 1, 3.0), (1, 2, 2.0), (0, 2, 1.0)]);
+        assert_eq!(arena.num_nodes(), 4);
+        assert_eq!(arena.num_edges(), 3);
+        assert_eq!(arena.edge_endpoints(0), (0, 1));
+        assert_eq!(arena.edge_capacity(1), 2.0);
+        assert!((arena.out_capacity(0) - 4.0).abs() < 1e-12);
+        assert_eq!(arena.out_capacity(3), 0.0);
+        assert!((arena.in_capacity(2) - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn in_capacity_tracks_every_insertion() {
+        let arena = FlowArena::from_edges(3, &[(0, 1, 1.25), (2, 1, 0.75), (1, 2, 4.0)]);
+        assert!((arena.in_capacity(1) - 2.0).abs() < 1e-12);
+        assert!((arena.in_capacity(2) - 4.0).abs() < 1e-12);
+        assert_eq!(arena.in_capacity(0), 0.0);
+        // Parallel edges accumulate.
+        let arena =
+            FlowArena::from_edges(3, &[(0, 1, 1.25), (2, 1, 0.75), (1, 2, 4.0), (0, 1, 0.5)]);
+        assert!((arena.in_capacity(1) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_edges_rejects_bad_endpoint() {
+        let _ = FlowArena::from_edges(2, &[(0, 5, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn from_edges_rejects_negative_capacity() {
+        let _ = FlowArena::from_edges(2, &[(0, 1, -1.0)]);
     }
 }

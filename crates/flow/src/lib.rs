@@ -20,8 +20,8 @@
 //!   caller knows exactly *which* edges moved (a dirty-edge journal on the probed
 //!   scheme), [`csr::FlowArena::patch_edge_capacities`] writes only those capacities and
 //!   resums only the affected in-capacities — still bit-for-bit equal to a rebuild.
-//! * [`csr::FlowSolver`] — a workspace owning every buffer the solvers mutate (residual
-//!   capacities, levels, current-arc cursors, queues, push-relabel state). Buffers are
+//! * [`csr::FlowSolver`] — a Dinic workspace owning every buffer a solve mutates
+//!   (residual capacities, levels, current-arc cursors, the BFS queue). Buffers are
 //!   reused across calls: in steady state a solve performs **zero heap allocation**.
 //! * [`csr::FlowSolver::min_max_flow`] — batched multi-sink evaluation of
 //!   `min_k maxflow(source → k)`: sinks are visited in ascending in-capacity order and each
@@ -31,87 +31,46 @@
 //!
 //! # The worker-pool layer
 //!
-//! Large multi-sink evaluations fan out across threads. Two fan-outs exist:
-//!
-//! * [`pool::FlowPool`] — the production path: a persistent pool of long-lived workers,
-//!   each owning a reusable [`csr::FlowSolver`] that stays warm across evaluations.
-//!   Workers are spawned lazily up to the pool cap and fed sink batches through a
-//!   channel; every evaluation shares its running minimum through an atomic, and the
-//!   submitting thread always works a share itself. [`pool::FlowPool::global`] is the
-//!   process-wide instance (capped at 8 workers, the same ceiling as
-//!   [`suggested_flow_threads`]) shared by [`min_max_flow_parallel`] and the parallel
-//!   evaluation mode of `bmp-core`'s `EvalCtx`, so the machine-wide flow-thread count
-//!   stays bounded no matter how many contexts request parallelism. Arenas travel to the
-//!   workers as `Arc<FlowArena>` clones that are dropped before the submitter is
-//!   released — a context that owns the only other reference keeps patching its retained
-//!   arena in place.
-//! * [`csr::min_max_flow_scoped`] — the former per-call scoped-thread fan-out, kept as
-//!   the A/B baseline (benchmarked against the pool in the `worker_pool` group of
-//!   `crates/bench/benches/throughput.rs`) and for callers that must not share the
-//!   global pool.
+//! Large multi-sink evaluations fan out across threads through one path,
+//! [`pool::FlowPool`]: a persistent pool of long-lived workers, each owning a reusable
+//! [`csr::FlowSolver`] that stays warm across evaluations. Workers are spawned lazily up
+//! to the pool cap and fed sink batches through a channel; every evaluation shares its
+//! running minimum through an atomic, and the submitting thread always works a share
+//! itself. [`pool::FlowPool::global`] is the process-wide instance (capped at 8 workers,
+//! the same ceiling as [`suggested_flow_threads`]) behind the parallel evaluation mode
+//! of `bmp-core`'s `EvalCtx`, so the machine-wide flow-thread count stays bounded no
+//! matter how many contexts request parallelism. Arenas travel to the workers as
+//! `Arc<FlowArena>` clones that are dropped before the submitter is released — a
+//! context that owns the only other reference keeps patching its retained arena in
+//! place.
 //!
 //! [`suggested_flow_threads`] decides when fan-out pays at all: sequential below 512
-//! nodes / 96 sinks (re-tuned against the pool, whose per-call cost is a queue push
-//! instead of a thread spawn), available parallelism capped at 8 above. Every fan-out
-//! is bit-for-bit equal to the sequential batched evaluation.
+//! nodes / 96 sinks, available parallelism capped at 8 above. The pooled evaluation is
+//! bit-for-bit equal to the sequential batched evaluation.
 //!
 //! # Entry points
 //!
-//! * [`graph::FlowNetwork`] — edge-list builder API with `O(1)` in-capacity queries,
-//! * [`dinic`] — Dinic's blocking-flow algorithm (the default solver),
-//! * [`edmonds_karp`] — the shortest-augmenting-path algorithm (used as a cross-check),
-//! * [`push_relabel`] — a FIFO push-relabel implementation (second cross-check),
-//! * [`mincut`] — minimum-cut extraction from a maximum flow,
+//! * [`csr::FlowArena::from_edges`], [`csr::FlowArena::set_edge_capacities`] and
+//!   [`csr::FlowArena::patch_edge_capacities`] — build an arena from an edge list, then
+//!   rewrite or patch its capacities in place,
+//! * [`csr::FlowSolver::max_flow`] and [`csr::FlowSolver::min_max_flow`] — Dinic's
+//!   blocking-flow algorithm, the crate's only max-flow algorithm, for one sink or
+//!   batched over many,
+//! * [`pool::FlowPool::min_max_flow_with`] — the batched evaluation fanned out over the
+//!   worker pool,
 //! * [`eps`] — tolerant floating-point comparisons shared by the whole workspace.
 //!
-//! The free functions build a one-shot arena per call and remain the convenient API for
-//! single solves; hot paths (scheme throughput, churn analysis, benchmarks) hold a
-//! [`csr::FlowArena`] and reuse a [`csr::FlowSolver`].
+//! Independent oracles (Edmonds–Karp, FIFO push-relabel, min-cut extraction) live in
+//! this crate's integration tests, which check the Dinic path against them.
 //!
-//! All algorithms operate on `f64` capacities; comparisons use the tolerances of [`eps`].
+//! All capacities are `f64`; comparisons use the tolerances of [`eps`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csr;
-pub mod dinic;
-pub mod edmonds_karp;
 pub mod eps;
-pub mod graph;
-pub mod mincut;
 pub mod pool;
-pub mod push_relabel;
 
-pub use csr::{
-    min_max_flow_parallel, min_max_flow_scoped, suggested_flow_threads, FlowArena, FlowSolver,
-};
-pub use dinic::dinic_max_flow;
-pub use edmonds_karp::edmonds_karp_max_flow;
-pub use graph::{EdgeId, FlowNetwork, FlowResult};
-pub use mincut::{min_cut, MinCut};
+pub use csr::{suggested_flow_threads, FlowArena, FlowSolver};
 pub use pool::{arm_worker_panics, disarm_worker_panics, FlowPool, WorkerPanicGuard};
-pub use push_relabel::push_relabel_max_flow;
-
-/// Maximum-flow value from `source` to `sink` computed with the default solver (Dinic).
-#[must_use]
-pub fn max_flow_value(network: &FlowNetwork, source: usize, sink: usize) -> f64 {
-    FlowSolver::with_capacity(network.num_nodes(), network.num_edges()).max_flow(
-        &network.arena(),
-        source,
-        sink,
-    )
-}
-
-/// Minimum over `sinks` of the maximum flow from `source` (batched evaluation).
-///
-/// Convenience wrapper over [`csr::FlowSolver::min_max_flow`] for one-shot callers; hot
-/// paths should build the arena once and reuse a solver. Returns `f64::INFINITY` when
-/// `sinks` is empty.
-#[must_use]
-pub fn min_max_flow(network: &FlowNetwork, source: usize, sinks: &[usize]) -> f64 {
-    FlowSolver::with_capacity(network.num_nodes(), network.num_edges()).min_max_flow(
-        &network.arena(),
-        source,
-        sinks,
-    )
-}

@@ -1,20 +1,17 @@
 //! Persistent worker pool for multi-sink flow evaluation.
 //!
-//! [`min_max_flow_parallel`](crate::min_max_flow_parallel) used to spawn scoped threads
-//! on every call; at fleet scale — thousands of evaluations per sweep, each fanning out
-//! and joining — the per-call spawn cost is pure overhead. [`FlowPool`] keeps a set of
-//! long-lived workers alive instead, each owning a reusable [`FlowSolver`] workspace
-//! that stays warm across evaluations:
+//! At fleet scale — thousands of evaluations per sweep — spawning threads per call
+//! would be pure overhead. [`FlowPool`] keeps a set of long-lived workers alive instead,
+//! each owning a reusable [`FlowSolver`] workspace that stays warm across evaluations:
 //!
 //! * work is fed through a channel (a `Mutex<VecDeque>` + `Condvar` queue — no external
 //!   dependency, no unsafe code);
 //! * workers are spawned lazily: a pool starts with zero threads and grows on demand up
 //!   to its configured cap, so sequential callers never pay for a pool;
-//! * every evaluation shares its running minimum through an atomic, exactly like the
-//!   scoped-thread fan-out it replaces ([`crate::csr::min_max_flow_scoped`], kept as the
-//!   A/B benchmark baseline), and the *submitting* thread always works a share of the
-//!   sinks itself, so an evaluation makes progress even when every pool worker is busy
-//!   with other submitters (no deadlock, no idle submitter);
+//! * every evaluation shares its running minimum through an atomic, and the
+//!   *submitting* thread always works a share of the sinks itself, so an evaluation
+//!   makes progress even when every pool worker is busy with other submitters (no
+//!   deadlock, no idle submitter);
 //! * dropping the pool shuts the workers down cleanly: the queue is drained, the
 //!   shutdown flag raised, and every worker joined.
 //!
@@ -61,11 +58,11 @@ const GLOBAL_POOL_CAP: usize = 8;
 #[derive(Debug)]
 struct EvalShared {
     /// Sinks in ascending in-capacity order — the evaluation order shared with the
-    /// sequential and scoped evaluators.
+    /// sequential evaluator.
     order: Vec<u32>,
     source: u32,
-    /// Next unclaimed index into `order`; workers and the submitter pull from it, which
-    /// load-balances better than the strided split of the scoped fan-out.
+    /// Next unclaimed index into `order`; workers and the submitter pull from it, so
+    /// whoever is free takes the next sink.
     next: AtomicUsize,
     /// Bit pattern of the running minimum (non-negative IEEE-754 doubles, flows and
     /// +inf, order identically to their bit patterns, so `fetch_min` works on the bits).
@@ -270,9 +267,8 @@ impl FlowPool {
     }
 
     /// The process-wide shared pool (capped at 8 workers, matching
-    /// [`crate::suggested_flow_threads`]). This is the pool behind
-    /// [`crate::min_max_flow_parallel`] and the parallel evaluation mode of `bmp-core`'s
-    /// `EvalCtx`; sharing one pool keeps the machine-wide flow-thread count bounded no
+    /// [`crate::suggested_flow_threads`]). This is the pool behind the parallel
+    /// evaluation mode of `bmp-core`'s `EvalCtx`; sharing one pool keeps the machine-wide flow-thread count bounded no
     /// matter how many contexts or sweep workers request parallel evaluation.
     #[must_use]
     pub fn global() -> &'static FlowPool {
@@ -447,18 +443,6 @@ impl FlowPool {
         }
         f64::from_bits(shared.min_bits.load(Ordering::Acquire))
     }
-
-    /// [`FlowPool::min_max_flow_with`] on a throwaway submitter workspace, for one-shot
-    /// callers without a warm [`FlowSolver`] of their own.
-    pub fn min_max_flow(
-        &self,
-        arena: &Arc<FlowArena>,
-        source: usize,
-        sinks: &[usize],
-        threads: usize,
-    ) -> f64 {
-        self.min_max_flow_with(&mut FlowSolver::new(), arena, source, sinks, threads)
-    }
 }
 
 impl Drop for FlowPool {
@@ -482,6 +466,17 @@ impl Drop for FlowPool {
 mod tests {
     use super::*;
 
+    /// [`FlowPool::min_max_flow_with`] on a throwaway submitter workspace.
+    fn pooled(
+        pool: &FlowPool,
+        arena: &Arc<FlowArena>,
+        source: usize,
+        sinks: &[usize],
+        threads: usize,
+    ) -> f64 {
+        pool.min_max_flow_with(&mut FlowSolver::new(), arena, source, sinks, threads)
+    }
+
     fn wide_arena(n: usize) -> FlowArena {
         // One sink has a much smaller flow than the others, so early-exit caps matter.
         let mut edges = Vec::new();
@@ -499,7 +494,7 @@ mod tests {
         assert_eq!(expected, 0.5);
         let pool = FlowPool::new(4);
         for threads in [1usize, 2, 3, 8, 64] {
-            assert_eq!(pool.min_max_flow(&arena, 0, &sinks, threads), expected);
+            assert_eq!(pooled(&pool, &arena, 0, &sinks, threads), expected);
         }
     }
 
@@ -507,7 +502,7 @@ mod tests {
     fn empty_sinks_are_infinite_and_spawn_nothing() {
         let pool = FlowPool::new(4);
         let arena = Arc::new(wide_arena(8));
-        assert_eq!(pool.min_max_flow(&arena, 0, &[], 4), f64::INFINITY);
+        assert_eq!(pooled(&pool, &arena, 0, &[], 4), f64::INFINITY);
         assert_eq!(pool.spawned_workers(), 0);
     }
 
@@ -519,16 +514,16 @@ mod tests {
         let expected = FlowSolver::new().min_max_flow(&arena, 0, &sinks);
 
         // Sequential requests never touch the pool.
-        assert_eq!(pool.min_max_flow(&arena, 0, &sinks, 1), expected);
+        assert_eq!(pooled(&pool, &arena, 0, &sinks, 1), expected);
         assert_eq!(pool.spawned_workers(), 0);
 
         // The first parallel request spawns exactly the helpers it needs (lanes - 1,
         // capped at the pool maximum); every later call reuses them. This is the
         // spawn-counting acceptance test: no per-call thread spawn on the pooled path.
-        assert_eq!(pool.min_max_flow(&arena, 0, &sinks, 3), expected);
+        assert_eq!(pooled(&pool, &arena, 0, &sinks, 3), expected);
         assert_eq!(pool.spawned_workers(), 2);
         for _ in 0..25 {
-            assert_eq!(pool.min_max_flow(&arena, 0, &sinks, 8), expected);
+            assert_eq!(pooled(&pool, &arena, 0, &sinks, 8), expected);
             assert_eq!(
                 pool.spawned_workers(),
                 3,
@@ -560,7 +555,7 @@ mod tests {
         let arena = Arc::new(wide_arena(16));
         let sinks: Vec<usize> = (1..16).collect();
         let expected = FlowSolver::new().min_max_flow(&arena, 0, &sinks);
-        assert_eq!(pool.min_max_flow(&arena, 0, &sinks, 8), expected);
+        assert_eq!(pooled(&pool, &arena, 0, &sinks, 8), expected);
         assert_eq!(pool.spawned_workers(), 0);
     }
 
@@ -569,7 +564,7 @@ mod tests {
         let pool = FlowPool::new(2);
         let arena = Arc::new(wide_arena(16));
         let sinks: Vec<usize> = (1..16).collect();
-        let _ = pool.min_max_flow(&arena, 0, &sinks, 4);
+        let _ = pooled(&pool, &arena, 0, &sinks, 4);
         assert_eq!(pool.spawned_workers(), 2);
         drop(pool); // must not hang: shutdown drains the queue and joins both workers
     }
@@ -593,7 +588,7 @@ mod tests {
         let sinks: Vec<usize> = (1..1024).collect();
         let expected = FlowSolver::new().min_max_flow(&arena, 0, &sinks);
         // Warm the pool so both workers exist before the fault is armed.
-        assert_eq!(pool.min_max_flow(&arena, 0, &sinks, 3), expected);
+        assert_eq!(pooled(&pool, &arena, 0, &sinks, 3), expected);
         assert_eq!(pool.spawned_workers(), 2);
         // Panic tokens are process-global: a concurrently running test's worker may
         // consume one (its evaluation falls back sequentially and stays correct), and
@@ -605,7 +600,7 @@ mod tests {
             assert!(attempts <= 500, "no injected panic ever reached this pool");
             arm_worker_panics(1);
             // Even the poisoned evaluation returns the exact sequential result.
-            assert_eq!(pool.min_max_flow(&arena, 0, &sinks, 3), expected);
+            assert_eq!(pooled(&pool, &arena, 0, &sinks, 3), expected);
         }
         disarm_worker_panics();
         // Containment: no worker died and none was respawned — later evaluations keep
@@ -614,7 +609,7 @@ mod tests {
         assert_eq!(pool.live_workers(), 2);
         let contained = pool.panics_contained();
         for _ in 0..10 {
-            assert_eq!(pool.min_max_flow(&arena, 0, &sinks, 3), expected);
+            assert_eq!(pooled(&pool, &arena, 0, &sinks, 3), expected);
         }
         assert_eq!(pool.panics_contained(), contained);
     }
@@ -668,7 +663,7 @@ mod tests {
                     };
                     scope.spawn(move || {
                         for _ in 0..4 {
-                            assert_eq!(pool.min_max_flow(&arena, 0, sinks, 3), expected);
+                            assert_eq!(pooled(&pool, &arena, 0, sinks, 3), expected);
                         }
                     });
                 }
@@ -689,7 +684,7 @@ mod tests {
                 let (pool, arena, sinks) = (Arc::clone(&pool), Arc::clone(&arena), &sinks);
                 scope.spawn(move || {
                     for _ in 0..8 {
-                        assert_eq!(pool.min_max_flow(&arena, 0, sinks, 3), expected);
+                        assert_eq!(pooled(&pool, &arena, 0, sinks, 3), expected);
                     }
                 });
             }

@@ -2,7 +2,7 @@
 
 use crate::error::PlatformError;
 use crate::node::{Node, NodeClass, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A problem instance of the bounded multi-port broadcast problem.
 ///
@@ -10,8 +10,9 @@ use serde::{Deserialize, Serialize};
 /// `n+1..=n+m` are the guarded nodes. Within each class, nodes are stored by non-increasing
 /// outgoing bandwidth (`b_1 ≥ … ≥ b_n` and `b_{n+1} ≥ … ≥ b_{n+m}`); every constructor
 /// enforces this normalisation, which all the algorithms of the paper assume
-/// ("increasing orders", Lemma 4.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// ("increasing orders", Lemma 4.2). Deserialization enforces the same invariants as
+/// [`Instance::new_presorted`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Instance {
     /// Outgoing bandwidth of every node; index 0 is the source.
     bandwidths: Vec<f64>,
@@ -19,6 +20,33 @@ pub struct Instance {
     n: usize,
     /// Number of guarded nodes.
     m: usize,
+}
+
+impl serde::Deserialize for Instance {
+    /// Reads the serialized fields and rebuilds the instance through
+    /// [`Instance::new_presorted`], so a document with a bandwidth list that is not
+    /// `1 + n + m` long, an unsorted class, a negative or non-finite bandwidth, or no
+    /// receiver is rejected instead of producing an instance that breaks the invariants
+    /// every accessor relies on.
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let obj = value
+            .as_object()
+            .ok_or_else(|| serde::DeError::expected("map", "Instance"))?;
+        let bandwidths: Vec<f64> =
+            serde::Deserialize::from_value(serde::field(obj, "bandwidths", "Instance")?)?;
+        let n: usize = serde::Deserialize::from_value(serde::field(obj, "n", "Instance")?)?;
+        let m: usize = serde::Deserialize::from_value(serde::field(obj, "m", "Instance")?)?;
+        if n.checked_add(m).and_then(|r| r.checked_add(1)) != Some(bandwidths.len()) {
+            return Err(serde::DeError::custom(format!(
+                "instance has {} bandwidths, expected 1 + n + m = 1 + {n} + {m}",
+                bandwidths.len()
+            )));
+        }
+        let (source, receivers) = bandwidths.split_first().expect("length checked above");
+        let (open, guarded) = receivers.split_at(n);
+        Instance::new_presorted(*source, open.to_vec(), guarded.to_vec())
+            .map_err(|e| serde::DeError::custom(format!("invalid instance: {e}")))
+    }
 }
 
 impl Instance {
@@ -449,6 +477,36 @@ mod tests {
         let json = serde_json::to_string(&inst).unwrap();
         let back: Instance = serde_json::from_str(&json).unwrap();
         assert_eq!(inst, back);
+    }
+
+    #[test]
+    fn deserialization_enforces_the_constructor_invariants() {
+        for (json, expected) in [
+            (
+                r#"{"bandwidths":[5.0,1.0],"n":3,"m":0}"#,
+                "expected 1 + n + m",
+            ),
+            (
+                r#"{"bandwidths":[5.0,-1.0],"n":1,"m":0}"#,
+                "invalid bandwidth -1",
+            ),
+            (r#"{"bandwidths":[5.0],"n":0,"m":0}"#, "no receiver"),
+            (
+                r#"{"bandwidths":[5.0,1.0,2.0],"n":2,"m":0}"#,
+                "non-increasing",
+            ),
+            (
+                r#"{"bandwidths":[5.0,1.0,1e999],"n":1,"m":1}"#,
+                "invalid bandwidth",
+            ),
+            (
+                r#"{"bandwidths":[5.0],"n":18446744073709551615,"m":1}"#,
+                "expected 1 + n + m",
+            ),
+        ] {
+            let error = serde_json::from_str::<Instance>(json).unwrap_err();
+            assert!(error.to_string().contains(expected), "{json}: {error}");
+        }
     }
 
     #[test]
