@@ -12,7 +12,11 @@
 //! * `parallel-auto`  — `FlowPool::min_max_flow_with` on the global pool with the
 //!   `suggested_flow_threads` lane count (sequential below 512 nodes / 96 sinks, capped
 //!   available parallelism above),
-//! * `parallel/T`     — fixed lane counts for the fan-out curve.
+//! * `parallel/T`     — fixed lane counts for the fan-out curve,
+//! * `acyclic_reuse`  — warm `min_max_flow` on an overlay whose arcs all go from a lower
+//!   to a higher index, like the schemes `acyclic-guarded` emits (n ∈ {2000, 5000}).
+//!   Every sink is settled by its in-capacity, so no max-flow runs; the random
+//!   overlays of the other variants are cyclic and settle almost nothing.
 //!
 //! The `worker_pool` group compares the pool with the sequential evaluator at a fixed
 //! fan-out of 4 lanes:
@@ -51,6 +55,15 @@ fn random_overlay(n: usize, seed: u64) -> Vec<(usize, usize, f64)> {
         }
     }
     edges
+}
+
+/// [`random_overlay`] with every arc pointing from the lower to the higher index: an
+/// acyclic overlay in which the source reaches every node.
+fn acyclic_overlay(n: usize, seed: u64) -> Vec<(usize, usize, f64)> {
+    random_overlay(n, seed)
+        .into_iter()
+        .map(|(a, b, capacity)| (a.min(b), a.max(b), capacity))
+        .collect()
 }
 
 /// The pooled evaluation on the global pool with a fresh submitter workspace.
@@ -99,6 +112,23 @@ fn bench_throughput(c: &mut Criterion) {
                     |b, arena| b.iter(|| pooled(arena, &sinks, threads)),
                 );
             }
+        }
+        if n >= 2000 {
+            let acyclic = FlowArena::from_edges(n, &acyclic_overlay(n, 0xBEA0 + n as u64));
+            let in_capacity = sinks
+                .iter()
+                .map(|&sink| acyclic.in_capacity(sink))
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(
+                warm.min_max_flow(&acyclic, 0, &sinks),
+                in_capacity,
+                "an acyclic overlay must be settled by its in-capacities before being timed"
+            );
+            group.bench_with_input(
+                BenchmarkId::new("acyclic_reuse", n),
+                &acyclic,
+                |b, arena| b.iter(|| warm.min_max_flow(arena, 0, &sinks)),
+            );
         }
     }
     group.finish();

@@ -275,13 +275,15 @@ pub const DICHOTOMIC_REQUIRED_IDS: [&str; 6] = [
 ];
 
 /// The benchmark ids the `throughput` report must contain (sequential batched pass vs
-/// the pooled fan-out at fleet scale, plus the pool-vs-sequential comparison of the
-/// `worker_pool` group).
-pub const THROUGHPUT_REQUIRED_IDS: [&str; 6] = [
+/// the pooled fan-out at fleet scale, the settled evaluation of acyclic overlays, plus
+/// the pool-vs-sequential comparison of the `worker_pool` group).
+pub const THROUGHPUT_REQUIRED_IDS: [&str; 8] = [
     "throughput/batched_reuse/2000",
     "throughput/parallel-auto/2000",
+    "throughput/acyclic_reuse/2000",
     "throughput/batched_reuse/5000",
     "throughput/parallel-auto/5000",
+    "throughput/acyclic_reuse/5000",
     "worker_pool/sequential/2000",
     "worker_pool/pooled/4/2000",
 ];

@@ -230,7 +230,7 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
         let (session, round, _) = parse_session_fault(raw, "--wedge-session", false)?;
         session_faults.wedges.push(SessionWedge { session, round });
     }
-    Ok(FleetConfig {
+    let config = FleetConfig {
         sessions,
         shards,
         receivers: args.get_parsed("--receivers", 4)?,
@@ -248,7 +248,9 @@ fn config_from_flags(args: &ArgList) -> Result<FleetConfig, CliError> {
         fault_plan,
         supervision,
         session_faults,
-    })
+    };
+    config.check().map_err(CliError::Usage)?;
+    Ok(config)
 }
 
 /// Runs the `serve` subcommand.

@@ -105,7 +105,9 @@ fn report<W: Write>(solution: &Solution, out: &mut W) -> Result<(), CliError> {
 /// `--algorithm cyclic-open`), `--tolerance EPS` (dichotomic search precision, default
 /// `1e-9`), `--threads N` (flow-evaluation fan-out over the persistent worker pool:
 /// `1` sequential — the default — `N > 1` up to N concurrent lanes, `0` the
-/// instance-size heuristic; the reported throughput is bit-identical either way),
+/// instance-size heuristic; only receivers on cycles of the scheme get a max-flow to
+/// fan out, so acyclic schemes run sequentially at any N; the reported throughput is
+/// bit-identical either way),
 /// `--out FILE` (write the scheme as JSON), `--dot FILE` (write a Graphviz rendering).
 ///
 /// # Errors

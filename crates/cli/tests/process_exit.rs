@@ -61,6 +61,20 @@ fn usage_errors_point_at_help() {
 }
 
 #[test]
+fn degenerate_fleet_configurations_are_usage_errors() {
+    for (args, expected) in [
+        (["serve", "--receivers", "1"], "at least two receivers"),
+        (["serve", "--chunks", "0"], "at least one chunk"),
+    ] {
+        let output = bmp(&args);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {output:?}");
+        let message = stderr(&output);
+        assert!(message.contains("usage error"), "{args:?}: {message}");
+        assert!(message.contains(expected), "{args:?}: {message}");
+    }
+}
+
+#[test]
 fn help_flags_exit_zero_with_the_usage() {
     for args in [
         &["--help"][..],

@@ -484,11 +484,15 @@ impl BroadcastScheme {
 
     /// Throughput of the scheme: `min_k maxflow(C0 → Ck)` over all receivers (Section II-D).
     ///
-    /// A one-shot convenience: one arena build and a fresh solver, then per-receiver
-    /// max-flows in ascending in-capacity order, each capped at the running minimum
-    /// ([`FlowSolver::min_max_flow`]). The result is exactly the minimum of the
-    /// individual max-flows. Repeated evaluations (searches, sweeps, fan-out across the
-    /// worker pool) go through a [`crate::solver::EvalCtx`], which retains the arena.
+    /// A one-shot convenience: one arena build and a fresh solver, then
+    /// [`FlowSolver::min_max_flow`]. Every receiver that lies on no cycle of the rate
+    /// digraph is settled by its in-rate — an acyclic scheme needs no max-flow at all —
+    /// and the receivers on cycles get one max-flow each in ascending in-capacity
+    /// order, capped at the running minimum. The result is the minimum of the
+    /// individual max-flows, within [`bmp_flow::eps::tolerance`] (settled in-rates are
+    /// summed in insertion order). Repeated evaluations (searches, sweeps, fan-out
+    /// across the worker pool) go through a [`crate::solver::EvalCtx`], which retains
+    /// the arena.
     #[must_use]
     pub fn throughput(&self) -> f64 {
         let arena = self.to_flow_arena();

@@ -30,8 +30,11 @@
 //! [`EvalCtx::set_parallelism`] switches multi-sink evaluations onto the process-wide
 //! persistent worker pool ([`bmp_flow::FlowPool::global`]): the journaled (or scanned)
 //! capacities are patched into the retained arena exactly as in the sequential path,
-//! then the per-receiver max-flows fan out across long-lived workers, the submitting
-//! thread working a share on the context's own solver. Values **and** the
+//! the submitting thread settles every receiver that lies on no cycle by its in-rate
+//! ([`FlowSolver::min_max_flow`]), and the max-flows of the receivers in cyclic
+//! components fan out across long-lived workers, the submitter working a share on the
+//! context's own solver. An acyclic scheme — the output of every acyclic algorithm —
+//! therefore never reaches the pool. Values **and** the
 //! [`Telemetry`] counters (`flow_solves`, `rescans_skipped`, `edges_patched`) are
 //! bit-for-bit identical to sequential evaluation — the fan-out only changes wall time —
 //! which the conformance suite asserts for every registry solver. The default of `0`
@@ -86,7 +89,8 @@ const VERIFY_TOL: f64 = 1e-6;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Telemetry {
     /// Number of per-sink max-flow evaluations requested through the context (batched
-    /// evaluations count one per sink, even when the early-exit cap truncates a solve).
+    /// evaluations count one per sink, even when the early-exit cap truncates a solve
+    /// or the sink is settled by its in-capacity without a max-flow).
     pub flow_solves: u64,
     /// Number of feasibility probes spent by dichotomic searches.
     pub bisection_iters: u64,
@@ -280,7 +284,8 @@ impl EvalCtx {
         self.bisection_iters += probes;
     }
 
-    /// Total per-sink max-flow evaluations requested so far.
+    /// Total per-sink max-flow evaluations requested so far (settled sinks included,
+    /// see [`Telemetry::flow_solves`]).
     #[must_use]
     pub fn flow_solves(&self) -> u64 {
         self.flow_solves
@@ -322,7 +327,11 @@ impl EvalCtx {
     /// [`bmp_flow::suggested_flow_threads`] (sequential for small instances, pooled at
     /// fleet scale), `1` always evaluates sequentially on the calling thread, and
     /// `threads > 1` dispatches the per-receiver max-flows onto the shared persistent
-    /// worker pool ([`FlowPool::global`]) with up to `threads` concurrent lanes.
+    /// worker pool ([`FlowPool::global`]) with up to `threads` concurrent lanes. The
+    /// fan-out applies only to receivers in cyclic components: the others are settled
+    /// by their in-capacities on the calling thread first, and the lane count is capped
+    /// by how many receivers remain, so an acyclic scheme evaluates sequentially at any
+    /// setting.
     ///
     /// Below the heuristic's size thresholds — every conformance instance, and any
     /// machine without available parallelism — auto resolves to the same sequential
@@ -415,8 +424,10 @@ impl EvalCtx {
     /// the scheme arena — and with it any dirty-edge-journal association — untouched,
     /// and it honours the configured parallelism ([`EvalCtx::set_parallelism`]): at a
     /// fan-out above 1 (or when the `0` auto heuristic triggers at fleet scale) the
-    /// per-sink max-flows dispatch onto the shared persistent worker pool, the value
-    /// staying bit-identical to the sequential pass.
+    /// max-flows of the sinks in cyclic components dispatch onto the shared persistent
+    /// worker pool, the value staying bit-identical to the sequential pass. A survivor
+    /// overlay whose departed nodes are isolated, with every survivor a sink, is settled
+    /// like any other: an acyclic one needs no max-flow.
     pub fn min_max_flow(
         &mut self,
         num_nodes: usize,

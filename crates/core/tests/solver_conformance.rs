@@ -12,6 +12,7 @@ use bmp_core::omega::best_omega_throughput;
 use bmp_core::scheme::RATE_EPS;
 use bmp_core::solver::{registry, EvalCtx, SolveRecorder};
 use bmp_core::{BroadcastScheme, CoreError};
+use bmp_flow::FlowSolver;
 use bmp_platform::paper::{figure1, figure11, figure14};
 use bmp_platform::Instance;
 use proptest::prelude::*;
@@ -64,6 +65,20 @@ fn every_solver_conforms_on_the_corpus() {
                 "{}: claimed {} vs measured {achieved}",
                 solver.name(),
                 solution.throughput
+            );
+            // The verified throughput, which settles every receiver on no cycle by its
+            // in-rate, agrees with one full Dinic per receiver within the verification
+            // tolerance.
+            let arena = solution.scheme.to_flow_arena();
+            let per_sink = instance
+                .receivers()
+                .map(|receiver| FlowSolver::new().max_flow(&arena, 0, receiver))
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                (solution.verified_throughput - per_sink).abs() <= 1e-6 * per_sink.max(1.0),
+                "{}: verified {} vs per-sink Dinic {per_sink}",
+                solver.name(),
+                solution.verified_throughput
             );
             // Telemetry counters are populated: every solve verifies by max-flow, and
             // word-based solvers spend dichotomic probes.
@@ -335,48 +350,50 @@ fn every_solver_journaled_ctx_equals_a_fresh_oracle() {
 }
 
 /// Every registry solver must produce the *same* solution under a pooled evaluation
-/// context as under a sequential one: same algorithm label, bit-identical claimed and
-/// verified throughput, same word, same scheme, and bit-identical telemetry counters
-/// (`wall_time` is the only field allowed to differ — the fan-out changes nothing but
-/// elapsed time).
+/// context as under a sequential one, at every parallelism setting: same algorithm
+/// label, bit-identical claimed and verified throughput, same word, same scheme, and
+/// bit-identical telemetry counters (`wall_time` is the only field allowed to differ —
+/// the fan-out changes nothing but elapsed time).
 #[test]
 fn every_solver_matches_under_a_pooled_ctx() {
     for solver in registry() {
-        for instance in corpus() {
-            let mut seq = EvalCtx::new();
-            let mut pooled = EvalCtx::new();
-            pooled.set_parallelism(4);
-            let sequential = solver.solve(&instance, &mut seq);
-            let parallel = solver.solve(&instance, &mut pooled);
-            match (sequential, parallel) {
-                (Ok(sequential), Ok(parallel)) => {
-                    let name = solver.name();
-                    assert_eq!(sequential.algorithm, parallel.algorithm, "{name}");
-                    assert_eq!(
-                        sequential.throughput.to_bits(),
-                        parallel.throughput.to_bits(),
-                        "{name}: claimed throughput diverged"
-                    );
-                    assert_eq!(
-                        sequential.verified_throughput.to_bits(),
-                        parallel.verified_throughput.to_bits(),
-                        "{name}: verified throughput diverged"
-                    );
-                    assert_eq!(sequential.word, parallel.word, "{name}");
-                    assert_eq!(sequential.scheme, parallel.scheme, "{name}");
-                    let (s, p) = (&sequential.telemetry, &parallel.telemetry);
-                    assert_eq!(s.flow_solves, p.flow_solves, "{name}");
-                    assert_eq!(s.bisection_iters, p.bisection_iters, "{name}");
-                    assert_eq!(s.rescans_skipped, p.rescans_skipped, "{name}");
-                    assert_eq!(s.edges_patched, p.edges_patched, "{name}");
+        for threads in [0usize, 2, 4, 8] {
+            for instance in corpus() {
+                let mut seq = EvalCtx::new();
+                let mut pooled = EvalCtx::new();
+                pooled.set_parallelism(threads);
+                let sequential = solver.solve(&instance, &mut seq);
+                let parallel = solver.solve(&instance, &mut pooled);
+                match (sequential, parallel) {
+                    (Ok(sequential), Ok(parallel)) => {
+                        let name = solver.name();
+                        assert_eq!(sequential.algorithm, parallel.algorithm, "{name}");
+                        assert_eq!(
+                            sequential.throughput.to_bits(),
+                            parallel.throughput.to_bits(),
+                            "{name}: claimed throughput diverged"
+                        );
+                        assert_eq!(
+                            sequential.verified_throughput.to_bits(),
+                            parallel.verified_throughput.to_bits(),
+                            "{name}: verified throughput diverged"
+                        );
+                        assert_eq!(sequential.word, parallel.word, "{name}");
+                        assert_eq!(sequential.scheme, parallel.scheme, "{name}");
+                        let (s, p) = (&sequential.telemetry, &parallel.telemetry);
+                        assert_eq!(s.flow_solves, p.flow_solves, "{name}");
+                        assert_eq!(s.bisection_iters, p.bisection_iters, "{name}");
+                        assert_eq!(s.rescans_skipped, p.rescans_skipped, "{name}");
+                        assert_eq!(s.edges_patched, p.edges_patched, "{name}");
+                    }
+                    (Err(_), Err(_)) => {} // class restrictions hit identically
+                    (sequential, parallel) => panic!(
+                        "{}: sequential {:?} vs pooled {:?} disagree on solvability",
+                        solver.name(),
+                        sequential.map(|s| s.throughput),
+                        parallel.map(|s| s.throughput)
+                    ),
                 }
-                (Err(_), Err(_)) => {} // class restrictions hit identically
-                (sequential, parallel) => panic!(
-                    "{}: sequential {:?} vs pooled {:?} disagree on solvability",
-                    solver.name(),
-                    sequential.map(|s| s.throughput),
-                    parallel.map(|s| s.throughput)
-                ),
             }
         }
     }

@@ -7,16 +7,20 @@
 //!   network: flat `start`/`to`/`partner`/`base_cap` arrays, residual arcs of a node stored
 //!   contiguously for cache-friendly scans, plus a precomputed per-node in-capacity.
 //! * [`FlowSolver`] — a reusable Dinic workspace owning every mutable buffer a solve
-//!   needs (residual capacities, BFS levels, current-arc cursors, the BFS queue).
+//!   needs (residual capacities, BFS levels, current-arc cursors, the BFS queue, the
+//!   strongly-connected-component scratch of the settle step).
 //!   After warm-up, repeated solves perform **no heap allocation**: buffers are cleared and
 //!   refilled in place (this is asserted by a counting-allocator test).
-//! * [`FlowSolver::min_max_flow`] — the batched multi-sink evaluator behind
-//!   `BroadcastScheme::throughput`: sinks are visited in ascending in-capacity order so a
-//!   tight minimum is found early, and each subsequent max-flow is capped at the running
-//!   minimum (a sink whose flow reaches the cap cannot lower the minimum, so its solve
-//!   terminates early). The result is exactly equal to evaluating every sink in full.
-//!   [`crate::pool::FlowPool::min_max_flow_with`] fans the same evaluation out over the
-//!   persistent worker pool.
+//! * [`FlowSolver::min_max_flow`] — the multi-sink evaluator behind
+//!   `BroadcastScheme::throughput`. One Tarjan pass over the positive arcs settles every
+//!   sink that is a strongly connected component of its own by its in-capacity, exactly,
+//!   provided every relay is itself a sink (see the method docs). In an acyclic overlay
+//!   that is every sink, so certification costs `O(n + m)` and no max-flow. The sinks in
+//!   cyclic components are visited in ascending in-capacity order, each max-flow capped
+//!   at the running minimum (a sink whose flow reaches the cap cannot lower the
+//!   minimum, so its solve terminates early).
+//!   [`crate::pool::FlowPool::min_max_flow_with`] settles on the submitting thread and
+//!   fans the remaining sinks out over the persistent worker pool.
 
 use crate::eps;
 
@@ -242,29 +246,6 @@ impl FlowArena {
         let range = self.start[node] as usize..self.start[node + 1] as usize;
         range.map(|arc| self.base_cap[arc]).sum()
     }
-
-    /// Fills `order` with `sinks` sorted ascending by in-capacity (ties by node id).
-    ///
-    /// This is the evaluation order shared by [`FlowSolver::min_max_flow`] and
-    /// [`crate::pool::FlowPool::min_max_flow_with`]; the two must visit sinks
-    /// identically, so the ordering lives in one place. Reuses `order`'s allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sink is out of range.
-    pub(crate) fn order_sinks_into(&self, sinks: &[usize], order: &mut Vec<u32>) {
-        order.clear();
-        order.extend(sinks.iter().map(|&sink| {
-            assert!(sink < self.num_nodes, "sink out of range");
-            sink as u32
-        }));
-        order.sort_unstable_by(|&a, &b| {
-            self.in_cap[a as usize]
-                .partial_cmp(&self.in_cap[b as usize])
-                .expect("capacities are finite")
-                .then(a.cmp(&b))
-        });
-    }
 }
 
 /// Reusable max-flow workspace.
@@ -283,9 +264,29 @@ pub struct FlowSolver {
     iter: Vec<u32>,
     /// BFS queue (Dinic).
     queue: Vec<u32>,
-    /// Sink ordering scratch for [`FlowSolver::min_max_flow`].
+    /// Sinks [`FlowSolver::min_max_flow`] still has to solve, ascending in-capacity.
     sinks: Vec<u32>,
+    /// Per-node [`SINK`] / [`CYCLIC`] flags of the settle pass.
+    flags: Vec<u8>,
+    /// Tarjan discovery index of each node ([`UNVISITED`] before its visit).
+    scc_index: Vec<u32>,
+    /// Tarjan low-link of each node ([`CLOSED`] once its component is complete).
+    scc_low: Vec<u32>,
+    /// Tarjan component stack.
+    scc_stack: Vec<u32>,
+    /// Explicit DFS call stack of the Tarjan pass (its arc cursors live in `iter`).
+    scc_call: Vec<u32>,
 }
+
+/// Settle-pass flag: the node is one of the requested sinks.
+const SINK: u8 = 1;
+/// Settle-pass flag: the node lies on a cycle of positive arcs (a non-trivial strongly
+/// connected component, or a positive self-loop).
+const CYCLIC: u8 = 2;
+/// Tarjan index of a node not visited yet.
+const UNVISITED: u32 = u32::MAX;
+/// Tarjan low-link of a node whose component is complete (no longer on the stack).
+const CLOSED: u32 = u32::MAX;
 
 impl FlowSolver {
     /// Creates an empty solver; buffers grow on first use.
@@ -302,6 +303,11 @@ impl FlowSolver {
         solver.level.reserve(num_nodes);
         solver.iter.reserve(num_nodes);
         solver.queue.reserve(num_nodes + 1);
+        solver.flags.reserve(num_nodes);
+        solver.scc_index.reserve(num_nodes);
+        solver.scc_low.reserve(num_nodes);
+        solver.scc_stack.reserve(num_nodes);
+        solver.scc_call.reserve(num_nodes);
         solver
     }
 
@@ -445,19 +451,95 @@ impl FlowSolver {
     /// behind `BroadcastScheme::throughput`.
     ///
     /// Returns `f64::INFINITY` when `sinks` is empty (the identity of `min`), mirroring a
-    /// fold over individually computed flows. The result is **exactly** equal to computing
-    /// every max-flow in full and taking the minimum:
+    /// fold over individually computed flows. The evaluation has two steps:
     ///
-    /// * sinks are evaluated in ascending in-capacity order, so a tight minimum is usually
-    ///   established after the first solve;
-    /// * each subsequent solve is capped at the running minimum — a sink whose flow reaches
-    ///   the cap cannot lower the minimum, so terminating it early never changes the result,
-    ///   and a sink whose true flow is below the cap is computed exactly;
-    /// * a running minimum of zero short-circuits the remaining sinks.
+    /// 1. **Settle.** When every node other than `source` that carries a positive arc
+    ///    is one of the sinks, one Tarjan pass over the positive arcs finds the strongly
+    ///    connected components, and every sink that forms a component of its own (no
+    ///    positive self-loop) contributes its in-capacity instead of a max-flow. This is
+    ///    exact: the sink side of a minimum source-rooted cut contains a component
+    ///    without positive in-arcs from the rest of that side, so a singleton such
+    ///    component is cut by exactly its in-arcs. An acyclic overlay — every scheme of
+    ///    the acyclic algorithms, and every survivor overlay whose departed nodes are
+    ///    isolated — is settled completely, with no max-flow at all. When the condition
+    ///    fails (a relay that is not a sink) nothing is settled.
+    /// 2. **Solve.** The remaining sinks, those in cyclic components, get one Dinic
+    ///    each in ascending in-capacity order, capped at the running minimum (which
+    ///    starts at the settled minimum): a sink whose flow reaches the cap cannot lower
+    ///    the minimum, so terminating it early never changes the result, and a sink
+    ///    whose true flow is below the cap is computed exactly. A running minimum of
+    ///    zero short-circuits the remaining sinks.
+    ///
+    /// The result is the minimum of the settled in-capacities and the full per-sink
+    /// max-flows of the unsettled sinks, independent of the order of `sinks`. It agrees
+    /// with per-sink Dinic within [`eps::tolerance`]: a settled in-capacity also counts
+    /// arcs at or below [`eps::DEFAULT_EPS`] that Dinic treats as absent, and sums in
+    /// insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` or a sink is out of range.
     pub fn min_max_flow(&mut self, arena: &FlowArena, source: usize, sinks: &[usize]) -> f64 {
-        let mut order = std::mem::take(&mut self.sinks);
-        arena.order_sinks_into(sinks, &mut order);
-        let mut minimum = f64::INFINITY;
+        let settled = self.settle_sinks(arena, source, sinks);
+        self.solve_unsettled(arena, source, settled)
+    }
+
+    /// Sinks left unsettled by the last [`FlowSolver::settle_sinks`], ascending
+    /// in-capacity (ties by node id).
+    pub(crate) fn unsettled_sinks(&self) -> &[u32] {
+        &self.sinks
+    }
+
+    /// The settle step of [`FlowSolver::min_max_flow`]: returns the minimum in-capacity
+    /// over the settled sinks (`f64::INFINITY` when none is settled) and leaves the
+    /// others in [`FlowSolver::unsettled_sinks`]. Allocation-free once warm.
+    pub(crate) fn settle_sinks(
+        &mut self,
+        arena: &FlowArena,
+        source: usize,
+        sinks: &[usize],
+    ) -> f64 {
+        self.sinks.clear();
+        if sinks.is_empty() {
+            return f64::INFINITY;
+        }
+        assert!(source < arena.num_nodes, "source out of range");
+        self.flags.clear();
+        self.flags.resize(arena.num_nodes, 0);
+        for &sink in sinks {
+            assert!(sink < arena.num_nodes, "sink out of range");
+            self.flags[sink] |= SINK;
+        }
+        let settling = self.relays_are_sinks(arena, source);
+        if settling {
+            self.mark_cyclic_nodes(arena);
+        }
+        let mut settled = f64::INFINITY;
+        for &sink in sinks {
+            if settling && sink != source && self.flags[sink] & CYCLIC == 0 {
+                settled = settled.min(arena.in_cap[sink]);
+            } else {
+                self.sinks.push(sink as u32);
+            }
+        }
+        self.sinks.sort_unstable_by(|&a, &b| {
+            arena.in_cap[a as usize]
+                .partial_cmp(&arena.in_cap[b as usize])
+                .expect("capacities are finite")
+                .then(a.cmp(&b))
+        });
+        settled
+    }
+
+    /// The solve step of [`FlowSolver::min_max_flow`]: capped Dinic over
+    /// [`FlowSolver::unsettled_sinks`], starting from the running minimum `minimum`.
+    pub(crate) fn solve_unsettled(
+        &mut self,
+        arena: &FlowArena,
+        source: usize,
+        mut minimum: f64,
+    ) -> f64 {
+        let order = std::mem::take(&mut self.sinks);
         for &sink in &order {
             if minimum <= 0.0 {
                 break;
@@ -469,6 +551,95 @@ impl FlowSolver {
         }
         self.sinks = order;
         minimum
+    }
+
+    /// Whether every node other than `source` that carries a positive arc (in or out)
+    /// is flagged [`SINK`] — the condition under which settling is exact.
+    fn relays_are_sinks(&self, arena: &FlowArena, source: usize) -> bool {
+        (0..arena.num_nodes).all(|node| {
+            node == source
+                || self.flags[node] & SINK != 0
+                || (arena.start[node] as usize..arena.start[node + 1] as usize).all(|arc| {
+                    !eps::is_positive(arena.base_cap[arc])
+                        && !eps::is_positive(arena.base_cap[arena.partner[arc] as usize])
+                })
+        })
+    }
+
+    /// Iterative Tarjan over the arcs whose capacity passes [`eps::is_positive`] (the
+    /// arcs Dinic's BFS can use): flags [`CYCLIC`] every node of a component with more
+    /// than one node and every node with a positive self-loop.
+    fn mark_cyclic_nodes(&mut self, arena: &FlowArena) {
+        let n = arena.num_nodes;
+        self.scc_index.clear();
+        self.scc_index.resize(n, UNVISITED);
+        self.scc_low.clear();
+        self.scc_low.resize(n, 0);
+        self.iter.resize(n, 0);
+        self.scc_stack.clear();
+        self.scc_call.clear();
+        let mut next_index = 0u32;
+        for root in 0..n {
+            if self.scc_index[root] != UNVISITED {
+                continue;
+            }
+            self.scc_index[root] = next_index;
+            self.scc_low[root] = next_index;
+            next_index += 1;
+            self.iter[root] = arena.start[root];
+            self.scc_stack.push(root as u32);
+            self.scc_call.push(root as u32);
+            while let Some(&node) = self.scc_call.last() {
+                let node = node as usize;
+                let end = arena.start[node + 1];
+                let mut descended = false;
+                while self.iter[node] < end {
+                    let arc = self.iter[node] as usize;
+                    self.iter[node] += 1;
+                    if !eps::is_positive(arena.base_cap[arc]) {
+                        continue;
+                    }
+                    let to = arena.to[arc] as usize;
+                    if self.scc_index[to] == UNVISITED {
+                        self.scc_index[to] = next_index;
+                        self.scc_low[to] = next_index;
+                        next_index += 1;
+                        self.iter[to] = arena.start[to];
+                        self.scc_stack.push(to as u32);
+                        self.scc_call.push(to as u32);
+                        descended = true;
+                        break;
+                    }
+                    if to == node {
+                        self.flags[node] |= CYCLIC;
+                    } else if self.scc_low[to] != CLOSED {
+                        self.scc_low[node] = self.scc_low[node].min(self.scc_index[to]);
+                    }
+                }
+                if descended {
+                    continue;
+                }
+                self.scc_call.pop();
+                if let Some(&parent) = self.scc_call.last() {
+                    let parent = parent as usize;
+                    self.scc_low[parent] = self.scc_low[parent].min(self.scc_low[node]);
+                }
+                if self.scc_low[node] == self.scc_index[node] {
+                    let singleton = self.scc_stack.last() == Some(&(node as u32));
+                    loop {
+                        let member =
+                            self.scc_stack.pop().expect("component root is stacked") as usize;
+                        self.scc_low[member] = CLOSED;
+                        if !singleton {
+                            self.flags[member] |= CYCLIC;
+                        }
+                        if member == node {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -572,6 +743,46 @@ mod tests {
         let batched = solver.min_max_flow(&arena, 0, &[1, 2, 3]);
         assert_eq!(batched, naive);
         assert_eq!(pooled(&arena, 0, &[1, 2, 3], 3), naive);
+    }
+
+    #[test]
+    fn sinks_off_every_cycle_are_settled_by_in_capacity() {
+        // 0 → 1 → 2 plus 0 → 2: acyclic, so both sinks are settled. The minimum is
+        // node 1's in-capacity, with no max-flow solved.
+        let arena = FlowArena::from_edges(3, &[(0, 1, 2.0), (1, 2, 1.0), (0, 2, 4.0)]);
+        let mut solver = FlowSolver::new();
+        assert_eq!(solver.settle_sinks(&arena, 0, &[1, 2]), 2.0);
+        assert!(solver.unsettled_sinks().is_empty());
+        // A back arc 2 → 1 puts both sinks in one component: nothing is settled.
+        let cyclic = FlowArena::from_edges(3, &[(0, 1, 2.0), (1, 2, 1.0), (2, 1, 1.0)]);
+        assert_eq!(solver.settle_sinks(&cyclic, 0, &[1, 2]), f64::INFINITY);
+        assert_eq!(solver.unsettled_sinks(), &[2, 1]);
+        assert_eq!(solver.min_max_flow(&cyclic, 0, &[1, 2]), 1.0);
+        // A positive self-loop is a cycle too.
+        let looped = FlowArena::from_edges(2, &[(0, 1, 2.0), (1, 1, 5.0)]);
+        assert_eq!(solver.settle_sinks(&looped, 0, &[1]), f64::INFINITY);
+        assert_eq!(solver.min_max_flow(&looped, 0, &[1]), 2.0);
+    }
+
+    #[test]
+    fn the_source_as_a_sink_is_never_settled() {
+        // The source's maximum flow to itself is 0, whatever its in-capacity.
+        let arena = FlowArena::from_edges(2, &[(0, 1, 2.0), (1, 0, 1.0)]);
+        assert_eq!(FlowSolver::new().min_max_flow(&arena, 0, &[0, 1]), 0.0);
+        let acyclic = FlowArena::from_edges(2, &[(0, 1, 2.0)]);
+        assert_eq!(FlowSolver::new().min_max_flow(&acyclic, 0, &[1, 0]), 0.0);
+    }
+
+    #[test]
+    fn a_relay_that_is_not_a_sink_turns_settling_off() {
+        // Node 1 relays at most 1.0 to both sinks, whose in-capacities are 10 each.
+        let arena = FlowArena::from_edges(4, &[(0, 1, 1.0), (1, 2, 10.0), (1, 3, 10.0)]);
+        let mut solver = FlowSolver::new();
+        assert_eq!(solver.settle_sinks(&arena, 0, &[2, 3]), f64::INFINITY);
+        assert_eq!(solver.min_max_flow(&arena, 0, &[2, 3]), 1.0);
+        // Arcs at or below the positivity tolerance do not make a relay.
+        let faint = FlowArena::from_edges(4, &[(0, 1, 1e-12), (1, 2, 1e-12), (0, 2, 3.0)]);
+        assert_eq!(solver.settle_sinks(&faint, 0, &[2]), 3.0 + 1e-12);
     }
 
     #[test]
@@ -712,11 +923,16 @@ mod tests {
 
     #[test]
     fn parallel_workers_cap_from_shared_minimum() {
-        // A wide instance where one sink has a much smaller flow than the others.
+        // A wide instance where one sink has a much smaller flow than the others, plus a
+        // ring through the other receivers so they stay unsettled and fan out.
         let mut edges = Vec::new();
         let n = 40;
         for v in 1..n {
             edges.push((0, v, if v == 17 { 0.5 } else { 10.0 }));
+        }
+        let ring: Vec<usize> = (1..n).filter(|&v| v != 17).collect();
+        for (k, &from) in ring.iter().enumerate() {
+            edges.push((from, ring[(k + 1) % ring.len()], 1.0));
         }
         let arena = FlowArena::from_edges(n, &edges);
         let sinks: Vec<usize> = (1..n).collect();

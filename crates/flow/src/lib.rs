@@ -21,19 +21,27 @@
 //!   scheme), [`csr::FlowArena::patch_edge_capacities`] writes only those capacities and
 //!   resums only the affected in-capacities — still bit-for-bit equal to a rebuild.
 //! * [`csr::FlowSolver`] — a Dinic workspace owning every buffer a solve mutates
-//!   (residual capacities, levels, current-arc cursors, the BFS queue). Buffers are
-//!   reused across calls: in steady state a solve performs **zero heap allocation**.
-//! * [`csr::FlowSolver::min_max_flow`] — batched multi-sink evaluation of
-//!   `min_k maxflow(source → k)`: sinks are visited in ascending in-capacity order and each
-//!   solve is capped at the running minimum, terminating early once the cap is reached (a
-//!   sink whose flow reaches the running minimum cannot lower it). The result is exactly
-//!   the minimum of the individually computed flows.
+//!   (residual capacities, levels, current-arc cursors, the BFS queue, the component
+//!   scratch). Buffers are reused across calls: in steady state a solve performs **zero
+//!   heap allocation**.
+//! * [`csr::FlowSolver::min_max_flow`] — multi-sink evaluation of
+//!   `min_k maxflow(source → k)` in two steps. *Settle:* when every node that relays flow
+//!   is itself a sink, one Tarjan pass over the positive arcs finds the strongly
+//!   connected components, and a sink that is a component of its own contributes its
+//!   in-capacity, which is exact for the minimum (the sink side of a minimum rooted cut
+//!   always holds a component with no positive in-arc from the rest of that side). An
+//!   acyclic overlay, which is what the paper's open and guarded algorithms build, is
+//!   settled completely, with no max-flow. *Solve:* the sinks in cyclic components get
+//!   one Dinic each in ascending in-capacity order, capped at the running minimum and
+//!   terminating early once the cap is reached (a sink whose flow reaches the running
+//!   minimum cannot lower it).
 //!
 //! # The worker-pool layer
 //!
-//! Large multi-sink evaluations fan out across threads through one path,
-//! [`pool::FlowPool`]: a persistent pool of long-lived workers, each owning a reusable
-//! [`csr::FlowSolver`] that stays warm across evaluations. Workers are spawned lazily up
+//! The per-sink max-flows left after the settle step — those of sinks in cyclic
+//! components — fan out across threads through one path, [`pool::FlowPool`]: a
+//! persistent pool of long-lived workers, each owning a reusable [`csr::FlowSolver`]
+//! that stays warm across evaluations. Workers are spawned lazily up
 //! to the pool cap and fed sink batches through a channel; every evaluation shares its
 //! running minimum through an atomic, and the submitting thread always works a share
 //! itself. [`pool::FlowPool::global`] is the process-wide instance (capped at 8 workers,
@@ -45,8 +53,10 @@
 //! place.
 //!
 //! [`suggested_flow_threads`] decides when fan-out pays at all: sequential below 512
-//! nodes / 96 sinks, available parallelism capped at 8 above. The pooled evaluation is
-//! bit-for-bit equal to the sequential batched evaluation.
+//! nodes / 96 sinks, available parallelism capped at 8 above. The pool settles on the
+//! submitting thread and sizes its lanes by the unsettled sinks, so an acyclic overlay
+//! never reaches a worker. The pooled evaluation is bit-for-bit equal to the sequential
+//! one.
 //!
 //! # Entry points
 //!
@@ -54,10 +64,10 @@
 //!   [`csr::FlowArena::patch_edge_capacities`] — build an arena from an edge list, then
 //!   rewrite or patch its capacities in place,
 //! * [`csr::FlowSolver::max_flow`] and [`csr::FlowSolver::min_max_flow`] — Dinic's
-//!   blocking-flow algorithm, the crate's only max-flow algorithm, for one sink or
-//!   batched over many,
-//! * [`pool::FlowPool::min_max_flow_with`] — the batched evaluation fanned out over the
-//!   worker pool,
+//!   blocking-flow algorithm, the crate's only max-flow algorithm, for one sink, and the
+//!   settled multi-sink minimum over many,
+//! * [`pool::FlowPool::min_max_flow_with`] — the multi-sink minimum with its unsettled
+//!   sinks fanned out over the worker pool,
 //! * [`eps`] — tolerant floating-point comparisons shared by the whole workspace.
 //!
 //! Independent oracles (Edmonds–Karp, FIFO push-relabel, min-cut extraction) live in

@@ -37,10 +37,15 @@
 //! reference (the evaluation context of `bmp-core`, say) regains unique ownership the
 //! moment the call returns and can keep patching its retained arena in place.
 //!
-//! Exactness is inherited from the capped batched evaluator: every sink's solve is
-//! capped at a running minimum that is never below the true minimum, a capped-out solve
-//! cannot lower the minimum, and the sink realising the minimum is computed exactly —
-//! so the pooled result is bit-for-bit the sequential [`FlowSolver::min_max_flow`].
+//! Exactness is inherited from the sequential evaluator. The submitter first runs the
+//! same settle step ([`FlowSolver::min_max_flow`]'s strongly-connected-component pass)
+//! on its own workspace: settled sinks contribute their in-capacities, and only the
+//! sinks in cyclic components are fanned out, with the lane count taken from how many
+//! there are — an acyclic overlay never reaches a worker. The shared running minimum
+//! starts at the settled minimum; every unsettled sink's solve is capped at a running
+//! minimum that is never below the true minimum, a capped-out solve cannot lower it,
+//! and the sink realising the minimum is computed exactly — so the pooled result is
+//! bit-for-bit the sequential [`FlowSolver::min_max_flow`].
 
 use crate::csr::{FlowArena, FlowSolver};
 use std::collections::VecDeque;
@@ -57,8 +62,8 @@ const GLOBAL_POOL_CAP: usize = 8;
 /// Shared state of one multi-sink evaluation dispatched onto the pool.
 #[derive(Debug)]
 struct EvalShared {
-    /// Sinks in ascending in-capacity order — the evaluation order shared with the
-    /// sequential evaluator.
+    /// The sinks the settle step left unsettled, in ascending in-capacity order — the
+    /// evaluation order shared with the sequential evaluator.
     order: Vec<u32>,
     source: u32,
     /// Next unclaimed index into `order`; workers and the submitter pull from it, so
@@ -345,14 +350,17 @@ impl FlowPool {
         }
     }
 
-    /// Minimum over `sinks` of the maximum flow from `source`, fanned out over the pool
-    /// with up to `threads` concurrent lanes (the submitting thread is one of them —
-    /// at most `threads - 1` helper tickets are queued).
+    /// Minimum over `sinks` of the maximum flow from `source`, with the sinks the
+    /// settle step leaves (those in cyclic components, see
+    /// [`FlowSolver::min_max_flow`]) fanned out over the pool with up to `threads`
+    /// concurrent lanes (the submitting thread is one of them — at most
+    /// `min(threads, unsettled sinks) - 1` helper tickets are queued).
     ///
-    /// The submitter's share of the work runs on `solver`, so a caller holding a warm
-    /// workspace (an evaluation context) reuses it. The result is bit-for-bit equal to
-    /// the sequential [`FlowSolver::min_max_flow`]; `threads <= 1` (or a pool with no
-    /// workers) simply runs it. Returns `f64::INFINITY` for an empty `sinks`.
+    /// The settle step and the submitter's share of the work run on `solver`, so a
+    /// caller holding a warm workspace (an evaluation context) reuses it. The result is
+    /// bit-for-bit equal to the sequential [`FlowSolver::min_max_flow`]; `threads <= 1`,
+    /// a pool with no workers, or at most one unsettled sink simply runs it on the
+    /// submitting thread. Returns `f64::INFINITY` for an empty `sinks`.
     ///
     /// A worker panic mid-evaluation is contained, not propagated: the poisoned pooled
     /// result is discarded and the evaluation recomputed sequentially on the submitting
@@ -370,20 +378,20 @@ impl FlowPool {
         sinks: &[usize],
         threads: usize,
     ) -> f64 {
-        let lanes = threads.min(sinks.len());
+        let settled = solver.settle_sinks(arena, source, sinks);
+        let lanes = threads.min(solver.unsettled_sinks().len());
         let helpers = lanes.saturating_sub(1).min(self.max_workers);
         if helpers == 0 {
-            return solver.min_max_flow(arena, source, sinks);
+            return solver.solve_unsettled(arena, source, settled);
         }
-        assert!(source < arena.num_nodes(), "source out of range");
-        let mut order = Vec::with_capacity(sinks.len());
-        arena.order_sinks_into(sinks, &mut order);
+        let order = solver.unsettled_sinks().to_vec();
         self.ensure_workers(helpers);
         let shared = Arc::new(EvalShared {
             order,
             source: source as u32,
             next: AtomicUsize::new(0),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
+            // The running minimum starts at the settled minimum, as sequentially.
+            min_bits: AtomicU64::new(settled.to_bits()),
             pending: Mutex::new(helpers),
             done: Condvar::new(),
             poisoned: AtomicBool::new(false),
@@ -482,6 +490,13 @@ mod tests {
         let mut edges = Vec::new();
         for v in 1..n {
             edges.push((0, v, if v == n / 2 { 0.5 } else { 10.0 }));
+        }
+        // A ring through the other receivers puts them in one strongly connected
+        // component, so the settle step leaves them to the pool's fan-out (a plain star
+        // is acyclic and would be settled without a worker).
+        let ring: Vec<usize> = (1..n).filter(|&v| v != n / 2).collect();
+        for (k, &from) in ring.iter().enumerate() {
+            edges.push((from, ring[(k + 1) % ring.len()], 1.0));
         }
         FlowArena::from_edges(n, &edges)
     }

@@ -1,7 +1,7 @@
 //! Asserts the CSR kernel's zero-allocation contract: once a [`FlowSolver`]'s buffers are
-//! warm, repeated value-only solves (`max_flow`, `max_flow_limited`, `min_max_flow`) must
-//! not touch the heap. A counting global allocator makes any regression an immediate test
-//! failure instead of a silent performance cliff.
+//! warm, repeated value-only solves (`max_flow`, `max_flow_limited`, `min_max_flow` with
+//! and without settled sinks) must not touch the heap. A counting global allocator makes
+//! any regression an immediate test failure instead of a silent performance cliff.
 //!
 //! The test harness runs tests on parallel threads, so the count is per thread and only
 //! runs while the measuring thread has armed it: another test's allocations never show up
@@ -86,13 +86,18 @@ fn layered_arena(layers: usize, width: usize) -> FlowArena {
 fn warm_solver_performs_no_heap_allocation() {
     let arena = layered_arena(5, 8);
     let sinks: Vec<usize> = (2..arena.num_nodes()).collect();
+    // Every non-source node is a sink, so this evaluation runs the settle pass.
+    let all_sinks: Vec<usize> = (1..arena.num_nodes()).collect();
     let mut solver = FlowSolver::new();
 
-    // Warm-up: sizes every buffer (cap, levels, cursors, queues, sink ordering).
+    // Warm-up: sizes every buffer (cap, levels, cursors, queues, sink ordering, the
+    // settle pass's component scratch).
     let reference_flow = solver.max_flow(&arena, 0, 1);
     let reference_min = solver.min_max_flow(&arena, 0, &sinks);
+    let reference_settled = solver.min_max_flow(&arena, 0, &all_sinks);
     assert!(reference_flow > 0.0);
     assert!(reference_min >= 0.0);
+    assert!(reference_settled >= 0.0);
 
     let allocations = allocations_during(|| {
         for _ in 0..50 {
@@ -102,6 +107,8 @@ fn warm_solver_performs_no_heap_allocation() {
             assert!(limited >= reference_flow / 2.0);
             let minimum = solver.min_max_flow(&arena, 0, &sinks);
             assert_eq!(minimum, reference_min);
+            let settled = solver.min_max_flow(&arena, 0, &all_sinks);
+            assert_eq!(settled, reference_settled);
         }
     });
     assert_eq!(

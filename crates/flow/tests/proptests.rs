@@ -1,12 +1,12 @@
 //! Property tests cross-checking the production Dinic kernel against the independent
 //! Edmonds–Karp and push-relabel oracles of [`oracle`] on random networks, plus the
-//! CSR-kernel equivalences: batched multi-sink evaluation (with early-exit caps, and with
-//! the pooled fan-out) must agree exactly with naive per-sink evaluation, and a reused
-//! solver workspace must behave like a fresh one.
+//! CSR-kernel equivalences: batched multi-sink evaluation (settled sinks, early-exit
+//! caps, and the pooled fan-out) must agree exactly with its contract computed naively,
+//! and a reused solver workspace must behave like a fresh one.
 
 mod oracle;
 
-use bmp_flow::{FlowArena, FlowPool, FlowSolver};
+use bmp_flow::{eps, FlowArena, FlowPool, FlowSolver};
 use oracle::Edge;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -26,6 +26,60 @@ impl Network {
     fn dinic(&self, source: usize, sink: usize) -> f64 {
         FlowSolver::new().max_flow(&self.arena(), source, sink)
     }
+
+    /// Minimum over `sinks` of one full, uncapped Dinic each.
+    fn per_sink_dinic(&self, source: usize, sinks: &[usize]) -> f64 {
+        sinks
+            .iter()
+            .map(|&sink| self.dinic(source, sink))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// `reach[u][v]`: `v` is reachable from `u` over one or more positive arcs
+    /// (transitive closure, independent of the kernel's Tarjan pass).
+    fn positive_closure(&self) -> Vec<Vec<bool>> {
+        let n = self.nodes;
+        let mut reach = vec![vec![false; n]; n];
+        for &(from, to, capacity) in &self.edges {
+            if eps::is_positive(capacity) {
+                reach[from][to] = true;
+            }
+        }
+        for via in 0..n {
+            let onward = reach[via].clone();
+            for row in reach.iter_mut().filter(|row| row[via]) {
+                for (cell, &hop) in row.iter_mut().zip(&onward) {
+                    *cell |= hop;
+                }
+            }
+        }
+        reach
+    }
+
+    /// The multi-sink contract of `FlowSolver::min_max_flow`, computed without caps:
+    /// when every non-source endpoint of a positive arc is a sink, a sink on no cycle
+    /// contributes its in-capacity and every other sink one full Dinic; otherwise every
+    /// sink gets one full Dinic.
+    fn settled_contract(&self, source: usize, sinks: &[usize]) -> f64 {
+        let arena = self.arena();
+        let settling = self.edges.iter().all(|&(from, to, capacity)| {
+            !eps::is_positive(capacity)
+                || [from, to]
+                    .iter()
+                    .all(|node| *node == source || sinks.contains(node))
+        });
+        let reach = self.positive_closure();
+        sinks
+            .iter()
+            .map(|&sink| {
+                if settling && sink != source && !reach[sink][sink] {
+                    arena.in_capacity(sink)
+                } else {
+                    self.dinic(source, sink)
+                }
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
 }
 
 /// Strategy generating a random directed network with up to `max_nodes` nodes.
@@ -40,6 +94,66 @@ fn random_network(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = N
                     .collect(),
             },
         )
+    })
+}
+
+/// A network for the settle step of multi-sink evaluation, with its sink set.
+#[derive(Debug, Clone)]
+struct SettleCase {
+    net: Network,
+    sinks: Vec<usize>,
+    /// No back arcs were drawn: every arc goes from a lower to a higher index.
+    acyclic: bool,
+    /// A non-sink relay carries flow, so the settle step must stay off.
+    relay: bool,
+}
+
+/// Strategy for [`SettleCase`]: arcs from low to high index (one in eight of zero
+/// capacity, the odd one a self-loop), up to two back arcs, a survivor sink set whose departed nodes are
+/// isolated, and in one case of four a non-sink relay `1` that is the only, narrow way
+/// from the source into node `n - 1`.
+fn settle_case(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = SettleCase> {
+    (3..=max_nodes).prop_flat_map(move |n| {
+        let arc = (0..n, 0..n, 0u8..8, 0.0_f64..20.0);
+        (
+            proptest::collection::vec(arc.clone(), 0..=max_edges),
+            proptest::collection::vec(arc, 0..=2),
+            proptest::collection::vec(0u8..4, n),
+            0u8..4,
+        )
+            .prop_map(move |(forward, back, departure, relay)| {
+                let relay = relay == 0;
+                // Node 1 (the relay) and node n - 1 (its target) never depart.
+                let departed = |v: usize| v != 0 && v != 1 && v != n - 1 && departure[v] == 0;
+                let capacity = |zero: u8, value: f64| if zero == 0 { 0.0 } else { value };
+                // A forward draw with equal endpoints is a self-loop.
+                let mut edges: Vec<Edge> =
+                    forward
+                        .iter()
+                        .map(|&(a, b, zero, value)| (a.min(b), a.max(b), capacity(zero, value)))
+                        .chain(back.iter().filter(|&&(a, b, _, _)| a != b).map(
+                            |&(a, b, zero, value)| (a.max(b), a.min(b), capacity(zero, value)),
+                        ))
+                        .collect();
+                let acyclic = edges.iter().all(|&(from, to, _)| from < to);
+                if relay {
+                    // The relay is the only way into n - 1 and passes at most 0.25, so
+                    // settling n - 1 by its in-capacity would overstate its flow.
+                    edges.retain(|&(_, to, _)| to != n - 1);
+                    edges.push((0, 1, 0.25));
+                    edges.push((1, n - 1, 2.5));
+                }
+                edges.retain(|&(from, to, _)| !departed(from) && !departed(to));
+                let sinks = (1..n)
+                    .filter(|&v| !departed(v) && (!relay || v != 1))
+                    .collect();
+                SettleCase {
+                    net: Network { nodes: n, edges },
+                    sinks,
+                    acyclic,
+                    relay,
+                }
+            })
     })
 }
 
@@ -103,11 +217,9 @@ proptest! {
     fn batched_min_max_flow_equals_naive_per_sink(net in random_network(9, 28)) {
         let source = 0;
         let sinks: Vec<usize> = (1..net.nodes).collect();
-        // Naive: one full Dinic per sink, minimum of the exact values.
-        let naive = sinks
-            .iter()
-            .map(|&sink| net.dinic(source, sink))
-            .fold(f64::INFINITY, f64::min);
+        // Naive: the settle contract without caps — in-capacities for the sinks on no
+        // cycle, one full Dinic for every other sink.
+        let naive = net.settled_contract(source, &sinks);
         // Batched: shared arena, in-capacity ordering, early-exit caps. Must be *exactly*
         // equal — capping only ever truncates solves that cannot lower the minimum.
         let arena = Arc::new(net.arena());
@@ -126,6 +238,47 @@ proptest! {
             prop_assert!((batched - expected).abs() <= tolerance(expected),
                 "batched {} vs oracle {}", batched, expected);
         }
+    }
+
+    #[test]
+    fn settled_certification_matches_per_sink_flows(case in settle_case(9, 24)) {
+        let SettleCase { net, sinks, acyclic, relay } = case;
+        let arena = Arc::new(net.arena());
+        let result = FlowSolver::new().min_max_flow(&arena, 0, &sinks);
+        // The contract, exactly; with a relay it is plain per-sink Dinic.
+        prop_assert_eq!(result, net.settled_contract(0, &sinks));
+        let dinic = net.per_sink_dinic(0, &sinks);
+        if relay {
+            prop_assert_eq!(result, dinic, "a non-sink relay must turn settling off");
+        }
+        // Within the workspace tolerance of per-sink Dinic and of both oracles.
+        prop_assert!((result - dinic).abs() <= eps::tolerance(result, dinic),
+            "settled {} vs per-sink dinic {}", result, dinic);
+        for oracle_flow in [oracle::edmonds_karp, oracle::push_relabel] {
+            let expected = sinks
+                .iter()
+                .map(|&sink| oracle_flow(net.nodes, &net.edges, 0, sink).value)
+                .fold(f64::INFINITY, f64::min);
+            prop_assert!((result - expected).abs() <= eps::tolerance(result, expected),
+                "settled {} vs oracle {}", result, expected);
+        }
+        // An acyclic overlay is settled completely: bit-equal to the minimum in-capacity.
+        if acyclic && !relay {
+            let in_capacity = sinks
+                .iter()
+                .map(|&sink| arena.in_capacity(sink))
+                .fold(f64::INFINITY, f64::min);
+            prop_assert_eq!(result, in_capacity);
+        }
+        // Pooled at every lane count equals sequential bit for bit.
+        for lanes in [1usize, 2, 4] {
+            let pooled = FlowPool::global()
+                .min_max_flow_with(&mut FlowSolver::new(), &arena, 0, &sinks, lanes);
+            prop_assert_eq!(pooled, result, "pooled at {} lanes", lanes);
+        }
+        // The sink order does not matter.
+        let reversed: Vec<usize> = sinks.iter().rev().copied().collect();
+        prop_assert_eq!(FlowSolver::new().min_max_flow(&arena, 0, &reversed), result);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! restart is bit-exact, so co-residency (a shard-layout artifact) never leaks into
 //! any result.
 
-use crate::admission::{AdmissionPolicy, AdmissionVerdict};
+use crate::admission::{AdmissionDecision, AdmissionPolicy, AdmissionVerdict};
 use crate::feed::{ChurnConfig, ChurnFeed};
 use crate::metrics::{FleetMetrics, FleetReport, SessionStats};
 use crate::mix_seed;
@@ -74,6 +74,37 @@ pub struct FleetConfig {
     /// Serve-level chaos: injected session panics and overlay wedges (deterministic,
     /// shard-agnostic; empty in production).
     pub session_faults: SessionFaults,
+}
+
+impl FleetConfig {
+    /// Checks the preconditions [`run_fleet`] places on a configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation: no shard, no session, fewer than
+    /// two receivers per session, no chunk, a floor outside `(0, 1]`, or a zero
+    /// per-session checkpoint cadence.
+    pub fn check(&self) -> Result<(), String> {
+        if self.shards == 0 {
+            return Err("a fleet needs at least one shard".into());
+        }
+        if self.sessions == 0 {
+            return Err("a fleet needs at least one session".into());
+        }
+        if self.receivers < 2 {
+            return Err("a session platform needs at least two receivers".into());
+        }
+        if self.chunks == 0 {
+            return Err("a session broadcast needs at least one chunk".into());
+        }
+        if !(self.floor > 0.0 && self.floor <= 1.0) {
+            return Err(format!("the repair floor {} is outside (0, 1]", self.floor));
+        }
+        if self.supervision.checkpoint_rounds == 0 {
+            return Err("the per-session checkpoint cadence must be at least one round".into());
+        }
+        Ok(())
+    }
 }
 
 impl Default for FleetConfig {
@@ -552,14 +583,71 @@ impl FleetRun {
     }
 }
 
+/// The coordinator's plan of a fleet: the per-session seeds, the generated platforms
+/// and the admission log, all derived in session-id order from `config` alone, before
+/// any shard thread exists.
+fn coordinate(config: &FleetConfig) -> (Vec<u64>, Vec<Instance>, Vec<AdmissionDecision>) {
+    let generator = InstanceGenerator::new(
+        GeneratorConfig::new(config.receivers, 0.7).expect("valid generator config"),
+        UniformBandwidth::unif100(),
+    );
+    let mut instances = Vec::with_capacity(config.sessions);
+    let mut seeds = Vec::with_capacity(config.sessions);
+    for session in 0..config.sessions {
+        let seed = mix_seed(config.seed, session as u64);
+        seeds.push(seed);
+        instances.push(generator.generate(&mut StdRng::seed_from_u64(seed)));
+    }
+    let loads: Vec<f64> = instances.iter().map(session_load).collect();
+    let admissions = config.admission.decide(&loads);
+    (seeds, instances, admissions)
+}
+
+/// Checks that `checkpoint` can resume under the configuration it carries: the
+/// configuration passes [`FleetConfig::check`], the admission log is the one
+/// [`run_fleet_with`] recomputes from it, and every completed, quarantined and pending
+/// session id lies inside the fleet. (Each pending session's saved run was already
+/// validated when it was deserialized.)
+pub(crate) fn check_resumable(checkpoint: &FleetCheckpoint) -> Result<(), String> {
+    let config = &checkpoint.config;
+    config.check()?;
+    let sessions = checkpoint
+        .completed
+        .iter()
+        .map(|row| row.session)
+        .chain(checkpoint.quarantined.iter().map(|record| record.session))
+        .chain(checkpoint.pending.iter().map(|entry| entry.session));
+    for session in sessions {
+        if session >= config.sessions {
+            return Err(format!(
+                "session {session} is outside the {}-session fleet",
+                config.sessions
+            ));
+        }
+    }
+    // One decision per session: checked first, so a document cannot make the platform
+    // generation below run for more sessions than it itself lists.
+    if checkpoint.admissions.len() != config.sessions {
+        return Err(format!(
+            "the admission log covers {} sessions, the fleet has {}",
+            checkpoint.admissions.len(),
+            config.sessions
+        ));
+    }
+    if coordinate(config).2 != checkpoint.admissions {
+        return Err("the admission log does not match the configuration".into());
+    }
+    Ok(())
+}
+
 /// Runs the whole fleet described by `config` and returns its deterministic report.
 /// Equivalent to [`run_fleet_with`] under default [`FleetOptions`].
 ///
 /// # Panics
 ///
-/// Panics if `shards == 0`, `sessions == 0`, `receivers < 2`, `floor` is outside
-/// `(0, 1]` (the controller's own precondition), or the supervision checkpoint
-/// cadence is zero.
+/// Panics if `config` fails [`FleetConfig::check`]: `shards == 0`, `sessions == 0`,
+/// `receivers < 2`, `chunks == 0`, `floor` outside `(0, 1]` (the controller's own
+/// precondition), or a zero supervision checkpoint cadence.
 #[must_use]
 pub fn run_fleet(config: &FleetConfig) -> FleetReport {
     run_fleet_with(config, FleetOptions::default()).into_report()
@@ -580,37 +668,16 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
 /// recomputed from the config.
 #[must_use]
 pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetRun {
-    assert!(config.shards >= 1, "a fleet needs at least one shard");
-    assert!(config.sessions >= 1, "a fleet needs at least one session");
-    assert!(
-        config.receivers >= 2,
-        "a session platform needs at least two receivers"
-    );
-    assert!(
-        config.supervision.checkpoint_rounds >= 1,
-        "the per-session checkpoint cadence must be at least one round"
-    );
+    if let Err(error) = config.check() {
+        panic!("{error}");
+    }
     let FleetOptions {
         resume,
         halt_after,
         checkpoint_every,
         mut on_checkpoint,
     } = options;
-    // Coordinator: derive seeds, generate platforms, decide admission — all in
-    // session-id order, before any shard thread exists.
-    let generator = InstanceGenerator::new(
-        GeneratorConfig::new(config.receivers, 0.7).expect("valid generator config"),
-        UniformBandwidth::unif100(),
-    );
-    let mut instances = Vec::with_capacity(config.sessions);
-    let mut seeds = Vec::with_capacity(config.sessions);
-    for session in 0..config.sessions {
-        let seed = mix_seed(config.seed, session as u64);
-        seeds.push(seed);
-        instances.push(generator.generate(&mut StdRng::seed_from_u64(seed)));
-    }
-    let loads: Vec<f64> = instances.iter().map(session_load).collect();
-    let admissions = config.admission.decide(&loads);
+    let (seeds, instances, admissions) = coordinate(config);
 
     let (mut wave, mut completed, mut quarantined, mut pending) = match resume {
         Some(checkpoint) => {

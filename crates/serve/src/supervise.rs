@@ -277,7 +277,12 @@ pub struct PendingEntry {
 ///
 /// Checkpoint *documents* are not required to be shard-agnostic (the embedded config
 /// echoes the shard count that wrote them); only the final [`crate::FleetReport`] is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization rejects a document that cannot resume under the configuration it
+/// carries (an invalid configuration, an admission log that does not match it, a
+/// session id outside the fleet, or a saved run that does not resume), so a damaged
+/// file is a JSON error, not an abort.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FleetCheckpoint {
     /// The fleet configuration the run was started with.
     pub config: FleetConfig,
@@ -291,6 +296,27 @@ pub struct FleetCheckpoint {
     pub quarantined: Vec<QuarantineRecord>,
     /// Sessions still to run, sorted by `(wave, session, attempt)`.
     pub pending: Vec<PendingEntry>,
+}
+
+impl Deserialize for FleetCheckpoint {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let obj = value
+            .as_object()
+            .ok_or_else(|| serde::DeError::expected("map", "FleetCheckpoint"))?;
+        let field = |name: &str| serde::field(obj, name, "FleetCheckpoint");
+        let checkpoint = FleetCheckpoint {
+            config: Deserialize::from_value(field("config")?)?,
+            admissions: Deserialize::from_value(field("admissions")?)?,
+            next_wave: Deserialize::from_value(field("next_wave")?)?,
+            completed: Deserialize::from_value(field("completed")?)?,
+            quarantined: Deserialize::from_value(field("quarantined")?)?,
+            pending: Deserialize::from_value(field("pending")?)?,
+        };
+        crate::fleet::check_resumable(&checkpoint).map_err(|error| {
+            serde::DeError::custom(format!("invalid fleet checkpoint: {error}"))
+        })?;
+        Ok(checkpoint)
+    }
 }
 
 impl FleetCheckpoint {

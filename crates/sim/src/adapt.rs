@@ -449,44 +449,56 @@ impl RepairController {
     ///
     /// Panics if the snapshot's bandwidths do not form a valid platform instance, its
     /// floor/nominal are inconsistent, its deployed edges or departed set reference
-    /// nodes outside the instance, or its degradation flags disagree.
+    /// nodes outside the instance, it deploys a self-loop or an invalid rate, or its
+    /// degradation flags disagree.
     #[must_use]
     pub fn resume(snapshot: &ControllerSnapshot) -> Self {
-        assert!(
-            snapshot.nominal > 0.0,
-            "controller snapshot: nominal throughput must be positive"
-        );
-        assert!(
-            snapshot.floor > 0.0 && snapshot.floor <= snapshot.nominal,
-            "controller snapshot: floor must lie in (0, nominal]"
-        );
-        assert_eq!(
-            snapshot.degraded,
-            snapshot.degraded_floor.is_some(),
-            "controller snapshot: degradation flag and floor disagree"
-        );
+        RepairController::try_resume(snapshot).unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    /// Like [`RepairController::resume`], but returns the first inconsistency as an
+    /// error instead of panicking.
+    pub(crate) fn try_resume(snapshot: &ControllerSnapshot) -> Result<Self, String> {
+        if snapshot.nominal.is_nan() || snapshot.nominal <= 0.0 {
+            return Err("controller snapshot: nominal throughput must be positive".into());
+        }
+        if !(snapshot.floor > 0.0 && snapshot.floor <= snapshot.nominal) {
+            return Err("controller snapshot: floor must lie in (0, nominal]".into());
+        }
+        if snapshot.degraded != snapshot.degraded_floor.is_some() {
+            return Err("controller snapshot: degradation flag and floor disagree".into());
+        }
         let instance = Instance::new_presorted(
             snapshot.source_bandwidth,
             snapshot.open_bandwidths.clone(),
             snapshot.guarded_bandwidths.clone(),
         )
-        .expect("controller snapshot holds an invalid platform instance");
+        .map_err(|error| {
+            format!("controller snapshot holds an invalid platform instance: {error}")
+        })?;
         let n = instance.num_nodes();
         for &node in &snapshot.previous_departed {
-            assert!(
-                node != 0 && node < n,
-                "controller snapshot departs node {node} outside the {n}-node instance"
-            );
+            if node == 0 || node >= n {
+                return Err(format!(
+                    "controller snapshot departs node {node} outside the {n}-node instance"
+                ));
+            }
         }
         let mut deployed = BroadcastScheme::new(instance.clone());
         for &(from, to, rate) in &snapshot.deployed_edges {
-            assert!(
-                from < n && to < n,
-                "controller snapshot deploys an edge outside the instance"
-            );
+            if from >= n || to >= n || from == to {
+                return Err(format!(
+                    "controller snapshot deploys an edge {from} → {to} outside the instance"
+                ));
+            }
+            if !(rate.is_finite() && rate >= 0.0) {
+                return Err(format!(
+                    "controller snapshot deploys {from} → {to} at invalid rate {rate}"
+                ));
+            }
             deployed.set_rate(from, to, rate);
         }
-        RepairController {
+        Ok(RepairController {
             instance,
             nominal: snapshot.nominal,
             floor: snapshot.floor,
@@ -498,7 +510,7 @@ impl RepairController {
             degraded: snapshot.degraded,
             degraded_floor: snapshot.degraded_floor,
             preferred_solver: snapshot.preferred_solver.clone(),
-        }
+        })
     }
 }
 
@@ -912,12 +924,27 @@ impl AdaptiveRun {
     /// [`RunCheckpoint`], validating every layer. Stepping the resumed run under the
     /// same policy replays the uninterrupted run bit for bit.
     ///
+    /// A checkpoint is either captured by [`AdaptiveRun::checkpoint`] or deserialized,
+    /// and deserialization already rejects every inconsistency this method checks, so
+    /// it does not panic on any checkpoint a caller can hold.
+    ///
     /// # Panics
     ///
-    /// Panics if the checkpoint is internally inconsistent (cursor past the schedule,
-    /// recovery indices outside the timeline, session/controller validation failures).
+    /// Panics if the checkpoint is internally inconsistent: a session snapshot
+    /// [`Session::resume`] rejects, a parallel overlay edge (repairs hot-swap the
+    /// overlay, which needs unique edges), a churn event outside the overlay, an event
+    /// cursor past the schedule, recovery indices outside the swap timeline, or a
+    /// controller snapshot [`RepairController::resume`] rejects.
     #[must_use]
     pub fn resume(checkpoint: RunCheckpoint) -> (Self, Option<RepairController>) {
+        AdaptiveRun::try_resume(checkpoint).unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    /// Like [`AdaptiveRun::resume`], but returns the first inconsistency as an error
+    /// instead of panicking.
+    pub(crate) fn try_resume(
+        checkpoint: RunCheckpoint,
+    ) -> Result<(Self, Option<RepairController>), String> {
         let RunCheckpoint {
             session,
             churn,
@@ -927,27 +954,45 @@ impl AdaptiveRun {
             nominal,
             controller,
         } = checkpoint;
-        let session = Session::resume(session);
+        let session = Session::try_resume(session)?;
         let n = session.overlay().num_nodes();
-        for event in churn.events() {
-            assert!(
-                event.node < n,
+        // Repairs hot-swap the overlay, which needs unique (from, to) edges; a running
+        // overlay extracted from a scheme always has them.
+        let mut pairs: Vec<(usize, usize)> = session
+            .overlay()
+            .edges()
+            .iter()
+            .map(|edge| (edge.from, edge.to))
+            .collect();
+        pairs.sort_unstable();
+        if let Some(pair) = pairs.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(format!(
+                "checkpointed overlay has a parallel edge {} -> {}",
+                pair[0].0, pair[0].1
+            ));
+        }
+        if let Some(event) = churn.events().iter().find(|event| event.node >= n) {
+            return Err(format!(
                 "checkpointed churn event targets node {} but the overlay has {n} nodes",
                 event.node
-            );
+            ));
         }
-        assert!(
-            next_event <= churn.events().len(),
-            "checkpoint event cursor is past the end of the schedule"
-        );
-        for &index in &awaiting_recovery {
-            assert!(
-                index < swaps.len(),
+        if next_event > churn.events().len() {
+            return Err("checkpoint event cursor is past the end of the schedule".into());
+        }
+        if let Some(index) = awaiting_recovery
+            .iter()
+            .find(|&&index| index >= swaps.len())
+        {
+            return Err(format!(
                 "checkpoint recovery index {index} is outside the swap timeline"
-            );
+            ));
         }
-        let controller = controller.as_ref().map(RepairController::resume);
-        (
+        let controller = controller
+            .as_ref()
+            .map(RepairController::try_resume)
+            .transpose()?;
+        Ok((
             AdaptiveRun {
                 session,
                 churn,
@@ -958,7 +1003,7 @@ impl AdaptiveRun {
                 last_round_progressed: false,
             },
             controller,
-        )
+        ))
     }
 }
 
@@ -967,7 +1012,11 @@ impl AdaptiveRun {
 /// The invariant (exercised by the crash-recovery CI smoke): resuming from any
 /// checkpoint of a run yields a final [`SimReport`] bit-identical to the uninterrupted
 /// run under the same seed and trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization rebuilds the run the document describes and rejects the document
+/// when [`AdaptiveRun::resume`] would panic on it, so every checkpoint that
+/// deserializes resumes; a damaged file is a JSON error, not an abort.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunCheckpoint {
     session: SessionSnapshot,
     churn: ChurnSchedule,
@@ -976,6 +1025,27 @@ pub struct RunCheckpoint {
     awaiting_recovery: Vec<usize>,
     nominal: f64,
     controller: Option<ControllerSnapshot>,
+}
+
+impl Deserialize for RunCheckpoint {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let obj = value
+            .as_object()
+            .ok_or_else(|| serde::DeError::expected("map", "RunCheckpoint"))?;
+        let field = |name: &str| serde::field(obj, name, "RunCheckpoint");
+        let checkpoint = RunCheckpoint {
+            session: Deserialize::from_value(field("session")?)?,
+            churn: Deserialize::from_value(field("churn")?)?,
+            next_event: Deserialize::from_value(field("next_event")?)?,
+            swaps: Deserialize::from_value(field("swaps")?)?,
+            awaiting_recovery: Deserialize::from_value(field("awaiting_recovery")?)?,
+            nominal: Deserialize::from_value(field("nominal")?)?,
+            controller: Deserialize::from_value(field("controller")?)?,
+        };
+        AdaptiveRun::try_resume(checkpoint.clone())
+            .map_err(|error| serde::DeError::custom(format!("invalid checkpoint: {error}")))?;
+        Ok(checkpoint)
+    }
 }
 
 impl RunCheckpoint {
@@ -1510,10 +1580,12 @@ mod tests {
         // evaluations over a deliberately wide star — draining its sink order takes
         // far longer than a worker wake-up — until a worker claims the token, then
         // prove containment: the poisoned evaluation is recomputed sequentially, so
-        // the value stays exact.
+        // the value stays exact. A ring through the receivers makes the star cyclic:
+        // an acyclic star is settled by in-capacities without reaching the pool.
         let wide_sinks: Vec<usize> = (1..1024).collect();
         let star = |edges: &mut Vec<(usize, usize, f64)>| {
             edges.extend((1..1024).map(|to| (0, to, 1.0)));
+            edges.extend((1..1024).map(|from| (from, from % 1023 + 1, 1.0)));
         };
         let wide_expected = EvalCtx::new().min_max_flow_with(1024, 0, &wide_sinks, star);
         let mut attempts = 0;

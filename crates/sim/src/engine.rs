@@ -70,6 +70,24 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
+    /// Checks that the configuration is not degenerate: at least one chunk, a positive
+    /// chunk size and round duration, and jitter in `[0, 1)`.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if self.num_chunks == 0 {
+            return Err("need at least one chunk".into());
+        }
+        if self.chunk_size.is_nan() || self.chunk_size <= 0.0 {
+            return Err("chunk size must be positive".into());
+        }
+        if self.round_duration.is_nan() || self.round_duration <= 0.0 {
+            return Err("round duration must be positive".into());
+        }
+        if !(0.0..1.0).contains(&self.jitter) {
+            return Err("jitter must lie in [0, 1)".into());
+        }
+        Ok(())
+    }
+
     /// Adjusts `chunk_size` and `round_duration` so that an edge of rate `reference_rate`
     /// transfers roughly `chunks_per_round` chunks per round. Keeps the number of chunks.
     #[must_use]

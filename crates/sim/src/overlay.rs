@@ -30,23 +30,37 @@ impl Overlay {
     /// non-positive rate.
     #[must_use]
     pub fn new(num_nodes: usize, edge_list: Vec<(usize, usize, f64)>) -> Self {
+        Overlay::try_new(num_nodes, edge_list).unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    /// Like [`Overlay::new`], but returns the first invalid edge as an error instead of
+    /// panicking (the path of checkpoint documents, which may be damaged).
+    pub(crate) fn try_new(
+        num_nodes: usize,
+        edge_list: Vec<(usize, usize, f64)>,
+    ) -> Result<Self, String> {
         let mut edges = Vec::with_capacity(edge_list.len());
         let mut outgoing = vec![Vec::new(); num_nodes];
         for (from, to, rate) in edge_list {
-            assert!(
-                from < num_nodes && to < num_nodes,
-                "edge endpoint out of range"
-            );
-            assert_ne!(from, to, "self-loops are not allowed");
-            assert!(rate > 0.0 && rate.is_finite(), "edge rate must be positive");
+            if from >= num_nodes || to >= num_nodes {
+                return Err(format!("edge endpoint out of range ({from} → {to})"));
+            }
+            if from == to {
+                return Err(format!("self-loops are not allowed (node {from})"));
+            }
+            if !(rate > 0.0 && rate.is_finite()) {
+                return Err(format!(
+                    "edge rate must be positive ({from} → {to}: {rate})"
+                ));
+            }
             outgoing[from].push(edges.len());
             edges.push(OverlayEdge { from, to, rate });
         }
-        Overlay {
+        Ok(Overlay {
             num_nodes,
             edges,
             outgoing,
-        }
+        })
     }
 
     /// Extracts the overlay of a broadcast scheme (one edge per positive rate).

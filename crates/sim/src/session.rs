@@ -100,16 +100,9 @@ impl Session {
     /// round duration, jitter outside `[0, 1)`).
     #[must_use]
     pub fn new(overlay: Overlay, config: SimConfig) -> Self {
-        assert!(config.num_chunks > 0, "need at least one chunk");
-        assert!(config.chunk_size > 0.0, "chunk size must be positive");
-        assert!(
-            config.round_duration > 0.0,
-            "round duration must be positive"
-        );
-        assert!(
-            (0.0..1.0).contains(&config.jitter),
-            "jitter must lie in [0, 1)"
-        );
+        if let Err(error) = config.check() {
+            panic!("{error}");
+        }
         let n = overlay.num_nodes();
         let num_chunks = config.num_chunks;
         let mut session = Session {
@@ -378,10 +371,17 @@ impl Session {
     /// # Panics
     ///
     /// Panics if the snapshot is internally inconsistent (mismatched vector lengths, a
-    /// malformed edge order, a degenerate configuration, or invalid overlay edges) — the
-    /// shapes a corrupted or hand-edited checkpoint file produces.
+    /// malformed edge order, a degenerate configuration, invalid overlay edges, or a
+    /// possession set that disagrees with its chunk count) — the shapes a corrupted or
+    /// hand-edited checkpoint file produces.
     #[must_use]
     pub fn resume(snapshot: SessionSnapshot) -> Self {
+        Session::try_resume(snapshot).unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    /// Like [`Session::resume`], but returns the first inconsistency as an error instead
+    /// of panicking.
+    pub(crate) fn try_resume(snapshot: SessionSnapshot) -> Result<Self, String> {
         let SessionSnapshot {
             num_nodes,
             edges,
@@ -400,12 +400,10 @@ impl Session {
             swaps,
             prev_count,
         } = snapshot;
-        // `Session::new` re-checks the configuration; the overlay constructor re-checks
-        // the edges. Everything else is validated here before the fields are adopted.
-        let fresh = Session::new(Overlay::new(num_nodes, edges), config);
-        let n = fresh.overlay.num_nodes();
-        let num_edges = fresh.overlay.edges().len();
-        assert_eq!(rng_state.len(), 4, "snapshot RNG state must hold 4 words");
+        config.check()?;
+        // The per-node and per-chunk vectors are checked before anything is sized by
+        // `num_nodes` or `num_chunks`, so a document cannot ask for more memory than it
+        // spells out.
         for (label, len) in [
             ("has", has.len()),
             ("count", count.len()),
@@ -413,38 +411,51 @@ impl Session {
             ("alive", alive.len()),
             ("prev_count", prev_count.len()),
         ] {
-            assert_eq!(len, n, "snapshot field `{label}` does not cover every node");
+            if len != num_nodes {
+                return Err(format!(
+                    "snapshot field `{label}` does not cover every node"
+                ));
+            }
         }
-        assert_eq!(
-            replication.len(),
-            config.num_chunks,
-            "snapshot replication does not cover every chunk"
-        );
-        assert_eq!(
-            credit.len(),
-            num_edges,
-            "snapshot credit does not cover every edge"
-        );
+        if replication.len() != config.num_chunks {
+            return Err("snapshot replication does not cover every chunk".into());
+        }
+        let overlay = Overlay::try_new(num_nodes, edges)?;
+        let n = overlay.num_nodes();
+        let num_edges = overlay.edges().len();
+        let rng_state: [u64; 4] = rng_state
+            .try_into()
+            .map_err(|_| "snapshot RNG state must hold 4 words".to_string())?;
+        if credit.len() != num_edges {
+            return Err("snapshot credit does not cover every edge".into());
+        }
         let mut order_check: Vec<usize> = edge_order.clone();
         order_check.sort_unstable();
-        assert!(
-            order_check.into_iter().eq(0..num_edges),
-            "snapshot edge order is not a permutation of the edges"
-        );
-        assert!(alive[0], "the source cannot be departed");
+        if !order_check.into_iter().eq(0..num_edges) {
+            return Err("snapshot edge order is not a permutation of the edges".into());
+        }
+        if n == 0 || !alive[0] {
+            return Err("the source cannot be departed".into());
+        }
+        let words = config.num_chunks.div_ceil(64);
+        if let Some(node) = has.iter().position(|set| set.len() != words) {
+            return Err(format!(
+                "snapshot possession set of node {node} does not match the chunk count"
+            ));
+        }
         let has: Vec<ChunkBitset> = has
             .into_iter()
             .map(|words| ChunkBitset::from_words(config.num_chunks, words))
             .collect();
         for (node, set) in has.iter().enumerate() {
-            assert_eq!(
-                set.count(),
-                count[node],
-                "snapshot chunk count of node {node} disagrees with its possession set"
-            );
+            if set.count() != count[node] {
+                return Err(format!(
+                    "snapshot chunk count of node {node} disagrees with its possession set"
+                ));
+            }
         }
-        Session {
-            rng: StdRng::from_state([rng_state[0], rng_state[1], rng_state[2], rng_state[3]]),
+        Ok(Session {
+            rng: StdRng::from_state(rng_state),
             has,
             count,
             completion,
@@ -457,9 +468,9 @@ impl Session {
             rounds_run,
             swaps,
             prev_count,
-            overlay: fresh.overlay,
+            overlay,
             config,
-        }
+        })
     }
 
     /// The per-node delivery report of the session so far.
