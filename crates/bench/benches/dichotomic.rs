@@ -1,8 +1,8 @@
 //! Dichotomic search benches: cost of the optimal-throughput search as a function of the
 //! tolerance (shared `DichotomicSearch` driver, Theorem 4.1) and the cost of re-scoring
 //! near-identical schemes — per-iteration `to_flow_arena` rebuilds versus the retained
-//! incremental-capacity arena of `EvalCtx` (PR 2) versus the dirty-edge-journal fast
-//! path that skips the O(n²) rate-matrix rescan entirely (this PR), measured up to
+//! incremental-capacity arena of `EvalCtx` versus the dirty-edge-journal fast path that
+//! skips the O(n + edges) walk of the scheme's stored rates entirely, measured up to
 //! n = 5000 overlays. The results are drained from the harness and written as
 //! `BENCH_dichotomic.json` at the repo root (machine-readable perf trajectory).
 
@@ -42,12 +42,12 @@ fn bench_dichotomic(c: &mut Criterion) {
 /// scheme whose edge set is fixed while the rates move. Three variants, identical flow
 /// solves, different arena handling:
 ///
-/// * `rebuild` — what the pre-registry code paid per probe: `to_flow_arena` (rate-matrix
-///   scan + full CSR construction with its allocations) then the batched evaluator;
-/// * `incremental` — `EvalCtx::throughput`: same matrix scan, but the retained arena's
+/// * `rebuild` — what the pre-registry code paid per probe: `to_flow_arena` (edge walk
+///   + full CSR construction with its allocations) then the batched evaluator;
+/// * `incremental` — `EvalCtx::throughput`: same edge walk, but the retained arena's
 ///   capacities are rewritten in place instead of rebuilding the CSR layout;
 /// * `incremental-edges` — `EvalCtx::min_max_flow` over a caller-maintained edge list
-///   (the search loop mutates the probed rate directly), skipping the matrix scan too.
+///   (the search loop mutates the probed rate directly), skipping the edge walk too.
 fn bench_reevaluation(c: &mut Criterion) {
     let mut group = c.benchmark_group("dichotomic_reevaluation");
     group.sample_size(20);
@@ -159,8 +159,8 @@ fn bench_reevaluation(c: &mut Criterion) {
 /// scan-and-rewrite fallback. The scan variants alternate between two copies of the
 /// scheme, so the context's journal association always belongs to the other object and
 /// every evaluation scans. Both variants run identical flow solves on identical arenas
-/// (the journal is exact); the difference is purely the per-probe O(n²) rate-matrix
-/// rescan the journal skips, so the gap widens quadratically with n.
+/// (the journal is exact); the difference is purely the per-probe O(n + edges) walk of
+/// the stored rates and the in-place rewrite of every capacity, which the journal skips.
 fn bench_journaled(c: &mut Criterion) {
     let mut group = c.benchmark_group("journaled_reevaluation");
     group

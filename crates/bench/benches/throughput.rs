@@ -25,10 +25,23 @@
 //! * `pooled/4`       — `FlowPool::min_max_flow_with` on the persistent global pool
 //!   (long-lived workers, warm per-worker solvers, no per-call spawn).
 //!
+//! The `certify` and `scheme` groups pin the two layers of a cold `acyclic-guarded`
+//! solve around the search, on PlanetLab-like instances with 70% open receivers:
+//!
+//! * `certify/fresh`  — `EvalCtx::new().throughput` of the solver's scheme: a fresh
+//!   context walks the scheme's edges, builds the arena and settles every receiver
+//!   (n ∈ {2000, 5000}),
+//! * `scheme/build`   — `AcyclicGuardedSolver::scheme_for_word` at the optimal
+//!   throughput: the construction of Lemma 4.6 (n = 2000).
+//!
 //! Results are drained from the harness and written as `BENCH_throughput.json` at the
 //! repo root (machine-readable perf trajectory).
 
+use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
+use bmp_core::solver::EvalCtx;
 use bmp_flow::{suggested_flow_threads, FlowArena, FlowPool, FlowSolver};
+use bmp_platform::distribution::PlanetLabLike;
+use bmp_platform::generator::{GeneratorConfig, InstanceGenerator};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -164,7 +177,58 @@ fn bench_worker_pool(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_throughput, bench_worker_pool);
+/// The certification and scheme-build layers of a cold `acyclic-guarded` solve.
+fn bench_certify_and_build(c: &mut Criterion) {
+    let solver = AcyclicGuardedSolver::default();
+    let mut certify = c.benchmark_group("certify");
+    certify
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2));
+    let mut build_input = None;
+    for &n in &[2000usize, 5000] {
+        let generator = InstanceGenerator::new(
+            GeneratorConfig::new(n, 0.7).expect("valid generator config"),
+            PlanetLabLike::new(),
+        );
+        let instance = generator.generate(&mut StdRng::seed_from_u64(0xCE57 + n as u64));
+        let (throughput, word) = solver.optimal_throughput(&instance);
+        let scheme = solver
+            .scheme_for_word(&instance, throughput, &word)
+            .expect("the optimal word is valid at its throughput");
+        let certified = EvalCtx::new().throughput(&scheme);
+        assert!(
+            (certified - throughput).abs() <= 1e-6 * throughput.max(1.0),
+            "certification must confirm the built scheme ({certified} vs {throughput}) \
+             before being timed"
+        );
+        certify.bench_with_input(BenchmarkId::new("fresh", n), &scheme, |b, scheme| {
+            b.iter(|| EvalCtx::new().throughput(scheme))
+        });
+        if n == 2000 {
+            build_input = Some((instance, throughput, word));
+        }
+    }
+    certify.finish();
+
+    let (instance, throughput, word) = build_input.expect("n = 2000 was certified");
+    let mut build = c.benchmark_group("scheme");
+    build
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2));
+    build.bench_with_input(BenchmarkId::new("build", 2000), &instance, |b, instance| {
+        b.iter(|| solver.scheme_for_word(instance, throughput, &word))
+    });
+    build.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_throughput,
+    bench_worker_pool,
+    bench_certify_and_build
+);
 
 fn main() {
     benches();

@@ -9,14 +9,16 @@
 //! freshly emitted documents are compared against the committed copies saved in `DIR`,
 //! and any pinned id slower than [`bmp_bench::REGRESSION_TOLERANCE`]× its baseline
 //! median fails the run with a message naming the id, both medians and the ratio. The
-//! comparison only applies to *measured* documents — a `--test` smoke run carries no
-//! timings, so the gate abstains (and says so) rather than comparing zeros. The
+//! comparison only applies to *measured* documents from like hosts — a `--test` smoke
+//! run carries no timings, and a document without a host fingerprint or from a host
+//! with a different core count, CPU model, `rustc -V` or profile is not comparable, so
+//! the gate abstains (and prints why) rather than passing silently. The
 //! committed baselines themselves are validated against the pinned ids too: a baseline
 //! file missing a required id used to make the gate silently skip that id forever.
 
 use bmp_bench::{
-    perf_gate, repo_root, validate_bench_json, DICHOTOMIC_REQUIRED_IDS, REGRESSION_TOLERANCE,
-    SERVE_REQUIRED_IDS, SIM_REQUIRED_IDS, THROUGHPUT_REQUIRED_IDS,
+    perf_gate, repo_root, validate_bench_json, GateReport, DICHOTOMIC_REQUIRED_IDS,
+    REGRESSION_TOLERANCE, SERVE_REQUIRED_IDS, SIM_REQUIRED_IDS, THROUGHPUT_REQUIRED_IDS,
 };
 use std::path::PathBuf;
 
@@ -72,9 +74,10 @@ fn main() {
             failed = true;
         }
         match perf_gate(&path, &committed, benchmark, expected, REGRESSION_TOLERANCE) {
-            Ok(report) if !report.compared => println!(
-                "gate: {benchmark}: skipped (smoke-mode document has no timings to compare)"
-            ),
+            Ok(GateReport {
+                abstained: Some(reason),
+                ..
+            }) => println!("gate: {benchmark}: abstained: {reason}"),
             Ok(report) if report.regressions.is_empty() => println!(
                 "gate: {benchmark}: all pinned ids within {REGRESSION_TOLERANCE}x of the baseline"
             ),

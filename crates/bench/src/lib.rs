@@ -9,6 +9,10 @@
 //! [`perf_gate`] (`validate_bench --baseline DIR`, [`REGRESSION_TOLERANCE`]× slowdown
 //! tolerance on the pinned ids — a format check alone would happily commit a 100×
 //! slower hot path).
+//!
+//! Every document records the [`HostFingerprint`] it was measured on (core count, CPU
+//! model, `rustc -V`, build profile), and the gate compares only documents from like
+//! hosts: a median measured on one machine says nothing about another's.
 
 use criterion::BenchReport;
 use std::path::{Path, PathBuf};
@@ -20,10 +24,114 @@ pub fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
+/// The machine and toolchain a benchmark document was measured with. Two documents
+/// are comparable only when their fingerprints are equal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HostFingerprint {
+    /// Available parallelism of the measuring process.
+    pub nproc: u64,
+    /// The `model name` of `/proc/cpuinfo`, or `unknown`.
+    pub cpu_model: String,
+    /// First line of `rustc -V`, or `unknown`.
+    pub rustc: String,
+    /// `release` or `debug` (whether debug assertions were compiled in).
+    pub profile: String,
+}
+
+impl HostFingerprint {
+    /// The fingerprint of the running process.
+    #[must_use]
+    pub fn current() -> Self {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|text| {
+                text.lines()
+                    .filter(|line| line.starts_with("model name"))
+                    .find_map(|line| line.split_once(':'))
+                    .map(|(_, model)| model.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        let rustc = std::process::Command::new("rustc")
+            .arg("-V")
+            .output()
+            .ok()
+            .filter(|output| output.status.success())
+            .and_then(|output| String::from_utf8(output.stdout).ok())
+            .and_then(|text| text.lines().next().map(str::to_string))
+            .unwrap_or_else(|| "unknown".to_string());
+        HostFingerprint {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+            cpu_model,
+            rustc,
+            profile: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            }
+            .to_string(),
+        }
+    }
+
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("nproc".to_string(), serde::Value::U64(self.nproc)),
+            (
+                "cpu_model".to_string(),
+                serde::Value::Str(self.cpu_model.clone()),
+            ),
+            ("rustc".to_string(), serde::Value::Str(self.rustc.clone())),
+            (
+                "profile".to_string(),
+                serde::Value::Str(self.profile.clone()),
+            ),
+        ])
+    }
+
+    fn from_value(value: &serde::Value) -> Option<Self> {
+        let fields = value.as_object()?;
+        let get = |name: &str| {
+            fields
+                .iter()
+                .find(|(key, _)| key == name)
+                .map(|(_, value)| value)
+        };
+        let text = |name: &str| get(name)?.as_str().map(str::to_string);
+        Some(HostFingerprint {
+            nproc: get("nproc")?.as_u64()?,
+            cpu_model: text("cpu_model")?,
+            rustc: text("rustc")?,
+            profile: text("profile")?,
+        })
+    }
+
+    /// How `self` differs from `other`, one `field: a vs b` per differing field.
+    fn differences(&self, other: &Self) -> Vec<String> {
+        let mut differences = Vec::new();
+        if self.nproc != other.nproc {
+            differences.push(format!("nproc: {} vs {}", self.nproc, other.nproc));
+        }
+        for (name, a, b) in [
+            ("cpu_model", &self.cpu_model, &other.cpu_model),
+            ("rustc", &self.rustc, &other.rustc),
+            ("profile", &self.profile, &other.profile),
+        ] {
+            if a != b {
+                differences.push(format!("{name}: {a:?} vs {b:?}"));
+            }
+        }
+        differences
+    }
+}
+
 /// Renders `reports` as the `BENCH_*.json` document: benchmark name, `measured` or
-/// `smoke` mode, and one `{id, median_ns, best_ns}` entry per benchmark id.
+/// `smoke` mode, the `host` they were measured on, and one `{id, median_ns, best_ns}`
+/// entry per benchmark id.
 #[must_use]
-pub fn bench_report_json(benchmark: &str, reports: &[BenchReport]) -> String {
+pub fn bench_report_json(
+    benchmark: &str,
+    reports: &[BenchReport],
+    host: &HostFingerprint,
+) -> String {
     let mode = if reports.iter().any(|r| r.smoke) {
         "smoke"
     } else {
@@ -47,6 +155,7 @@ pub fn bench_report_json(benchmark: &str, reports: &[BenchReport]) -> String {
             serde::Value::Str(benchmark.to_string()),
         ),
         ("mode".to_string(), serde::Value::Str(mode.to_string())),
+        ("host".to_string(), host.to_value()),
         ("results".to_string(), results),
     ]);
     serde_json::to_string_pretty(&document).expect("report document serializes")
@@ -60,16 +169,21 @@ pub fn write_bench_json(benchmark: &str, reports: &[BenchReport]) -> Option<Path
         return None;
     }
     let path = repo_root().join(format!("BENCH_{benchmark}.json"));
-    std::fs::write(&path, bench_report_json(benchmark, reports))
+    let document = bench_report_json(benchmark, reports, &HostFingerprint::current());
+    std::fs::write(&path, document)
         .unwrap_or_else(|error| panic!("cannot write {}: {error}", path.display()));
     Some(path)
 }
 
-/// A parsed `BENCH_*.json` document: its `mode` and one `(id, median_ns)` per result.
+/// A parsed `BENCH_*.json` document: its `mode`, its host and one `(id, median_ns)` per
+/// result.
 #[derive(Debug, Clone)]
 pub struct BenchDocument {
     /// `"measured"` or `"smoke"`.
     pub mode: String,
+    /// The host the document was measured on; `None` for documents written before
+    /// hosts were recorded.
+    pub host: Option<HostFingerprint>,
     /// `(id, median_ns)` in document order.
     pub medians: Vec<(String, f64)>,
 }
@@ -101,9 +215,10 @@ pub const REGRESSION_TOLERANCE: f64 = 3.0;
 /// Outcome of gating one fresh benchmark document against its committed baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateReport {
-    /// `false` when either document was a smoke run — there are no timings to compare,
-    /// so the gate abstains (CI still validates ids through [`validate_bench_json`]).
-    pub compared: bool,
+    /// Why the gate abstained instead of comparing, when it did: a smoke document has
+    /// no timings, and documents without a fingerprint or from unlike hosts are not
+    /// comparable. CI still validates ids through [`validate_bench_json`].
+    pub abstained: Option<String>,
     /// One human-readable message per pinned id slower than the tolerance allows.
     /// Empty means the gate passed.
     pub regressions: Vec<String>,
@@ -111,7 +226,8 @@ pub struct GateReport {
 
 /// Compares the freshly emitted report at `fresh` against the committed `baseline`:
 /// every id in `pinned` that is slower than `tolerance ×` its baseline median is
-/// reported as a regression. Ids missing from the baseline (newly added benchmarks)
+/// reported as a regression. The gate abstains, naming the reason, when either document
+/// is a smoke run, lacks a host fingerprint, or was measured on a different host. Ids missing from the baseline (newly added benchmarks)
 /// are skipped — they have no history to regress against; ids missing from the fresh
 /// document are a structural error (the separate id validation pins them).
 ///
@@ -128,11 +244,32 @@ pub fn perf_gate(
 ) -> Result<GateReport, String> {
     let fresh_doc = read_bench_document(fresh, benchmark)?;
     let baseline_doc = read_bench_document(baseline, benchmark)?;
-    if !fresh_doc.is_measured() || !baseline_doc.is_measured() {
-        return Ok(GateReport {
-            compared: false,
+    let abstain = |reason: String| {
+        Ok(GateReport {
+            abstained: Some(reason),
             regressions: Vec::new(),
-        });
+        })
+    };
+    if !fresh_doc.is_measured() || !baseline_doc.is_measured() {
+        return abstain("smoke-mode document has no timings to compare".to_string());
+    }
+    let (Some(fresh_host), Some(baseline_host)) = (&fresh_doc.host, &baseline_doc.host) else {
+        let unknown = if fresh_doc.host.is_none() {
+            fresh
+        } else {
+            baseline
+        };
+        return abstain(format!(
+            "{} records no host fingerprint, so its timings are not comparable",
+            unknown.display()
+        ));
+    };
+    let differences = fresh_host.differences(baseline_host);
+    if !differences.is_empty() {
+        return abstain(format!(
+            "measured on an unlike host ({}; fresh vs baseline)",
+            differences.join(", ")
+        ));
     }
     let mut regressions = Vec::new();
     for &id in pinned {
@@ -152,7 +289,7 @@ pub fn perf_gate(
         }
     }
     Ok(GateReport {
-        compared: true,
+        abstained: None,
         regressions,
     })
 }
@@ -219,6 +356,13 @@ pub fn read_bench_document(path: &Path, benchmark: &str) -> Result<BenchDocument
     if !matches!(mode, "measured" | "smoke") {
         return Err(format!("{}: unknown mode {mode:?}", path.display()));
     }
+    let host = match fields.iter().find(|(key, _)| key == "host") {
+        None => None,
+        Some((_, value)) => Some(
+            HostFingerprint::from_value(value)
+                .ok_or_else(|| format!("{}: malformed `host` fingerprint", path.display()))?,
+        ),
+    };
     let results = field("results")?
         .as_array()
         .ok_or_else(|| format!("{}: `results` is not an array", path.display()))?;
@@ -259,6 +403,7 @@ pub fn read_bench_document(path: &Path, benchmark: &str) -> Result<BenchDocument
     }
     Ok(BenchDocument {
         mode: mode.to_string(),
+        host,
         medians,
     })
 }
@@ -275,9 +420,10 @@ pub const DICHOTOMIC_REQUIRED_IDS: [&str; 6] = [
 ];
 
 /// The benchmark ids the `throughput` report must contain (sequential batched pass vs
-/// the pooled fan-out at fleet scale, the settled evaluation of acyclic overlays, plus
-/// the pool-vs-sequential comparison of the `worker_pool` group).
-pub const THROUGHPUT_REQUIRED_IDS: [&str; 8] = [
+/// the pooled fan-out at fleet scale, the settled evaluation of acyclic overlays, the
+/// pool-vs-sequential comparison of the `worker_pool` group, and the certification and
+/// scheme-build layers of a cold `acyclic-guarded` solve).
+pub const THROUGHPUT_REQUIRED_IDS: [&str; 11] = [
     "throughput/batched_reuse/2000",
     "throughput/parallel-auto/2000",
     "throughput/acyclic_reuse/2000",
@@ -286,6 +432,9 @@ pub const THROUGHPUT_REQUIRED_IDS: [&str; 8] = [
     "throughput/acyclic_reuse/5000",
     "worker_pool/sequential/2000",
     "worker_pool/pooled/4/2000",
+    "certify/fresh/2000",
+    "certify/fresh/5000",
+    "scheme/build/2000",
 ];
 
 /// The benchmark ids the `sim` report must contain (the session engine's per-round hot
@@ -307,6 +456,15 @@ pub const SERVE_REQUIRED_IDS: [&str; 2] = ["serve/fleet-step/256", "serve/admiss
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sample_host() -> HostFingerprint {
+        HostFingerprint {
+            nproc: 2,
+            cpu_model: "Sample CPU @ 2.00GHz".to_string(),
+            rustc: "rustc 1.95.0 (59807616e 2026-04-14)".to_string(),
+            profile: "release".to_string(),
+        }
+    }
 
     fn sample_reports() -> Vec<BenchReport> {
         vec![
@@ -330,7 +488,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bmp_bench_json_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_sample.json");
-        std::fs::write(&path, bench_report_json("sample", &sample_reports())).unwrap();
+        std::fs::write(
+            &path,
+            bench_report_json("sample", &sample_reports(), &sample_host()),
+        )
+        .unwrap();
         validate_bench_json(&path, "sample", &["group/alpha/500", "group/beta/2000"]).unwrap();
         // Wrong name and missing ids are reported.
         assert!(validate_bench_json(&path, "other", &[]).is_err());
@@ -351,7 +513,7 @@ mod tests {
             best_ns: 0.0,
             smoke: true,
         }];
-        let json = bench_report_json("sample", &reports);
+        let json = bench_report_json("sample", &reports, &sample_host());
         assert!(json.contains("\"smoke\""));
         let dir = std::env::temp_dir().join(format!("bmp_bench_smoke_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -400,7 +562,7 @@ mod tests {
             },
         ];
         let path = dir.join(format!("BENCH_{name}.json"));
-        std::fs::write(&path, bench_report_json("sample", &reports)).unwrap();
+        std::fs::write(&path, bench_report_json("sample", &reports, &sample_host())).unwrap();
         path
     }
 
@@ -419,7 +581,7 @@ mod tests {
             REGRESSION_TOLERANCE,
         )
         .unwrap();
-        assert!(report.compared);
+        assert_eq!(report.abstained, None);
         assert!(report.regressions.is_empty(), "{:?}", report.regressions);
         // 3.5x on alpha: the gate names the id, both medians and the ratio.
         let slow = write_doc(&dir, "slow", 350.0, 1000.0);
@@ -452,9 +614,13 @@ mod tests {
             best_ns: 0.0,
             smoke: true,
         }];
-        std::fs::write(&smoke, bench_report_json("sample", &smoke_reports)).unwrap();
+        std::fs::write(
+            &smoke,
+            bench_report_json("sample", &smoke_reports, &sample_host()),
+        )
+        .unwrap();
         let report = perf_gate(&smoke, &baseline, "sample", &["group/alpha/500"], 3.0).unwrap();
-        assert!(!report.compared);
+        assert!(report.abstained.is_some());
         assert!(report.regressions.is_empty());
         // A pinned id absent from the *baseline* is a new benchmark, not a regression…
         let fresh = write_doc(&dir, "fresh", 100.0, 1000.0);
@@ -465,7 +631,11 @@ mod tests {
             best_ns: 90.0,
             smoke: false,
         }];
-        std::fs::write(&narrow, bench_report_json("sample", &narrow_reports)).unwrap();
+        std::fs::write(
+            &narrow,
+            bench_report_json("sample", &narrow_reports, &sample_host()),
+        )
+        .unwrap();
         let report = perf_gate(
             &fresh,
             &narrow,
@@ -474,11 +644,69 @@ mod tests {
             3.0,
         )
         .unwrap();
-        assert!(report.compared);
+        assert_eq!(report.abstained, None);
         assert!(report.regressions.is_empty());
         // …but a pinned id absent from the *fresh* document is a structural error.
         let err = perf_gate(&narrow, &fresh, "sample", &["group/beta/2000"], 3.0).unwrap_err();
         assert!(err.contains("group/beta/2000"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn perf_gate_abstains_on_unlike_hosts_and_fingerprintless_baselines() {
+        let dir = std::env::temp_dir().join(format!("bmp_bench_gate3_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let pinned = ["group/alpha/500", "group/beta/2000"];
+        let baseline = write_doc(&dir, "baseline", 100.0, 1000.0);
+        // 10x slower on a host with more cores: not comparable, so no verdict at all.
+        let elsewhere = dir.join("BENCH_elsewhere.json");
+        let host = HostFingerprint {
+            nproc: 8,
+            ..sample_host()
+        };
+        let slow_reports: Vec<BenchReport> = sample_reports()
+            .into_iter()
+            .map(|report| BenchReport {
+                median_ns: report.median_ns * 10.0,
+                ..report
+            })
+            .collect();
+        std::fs::write(
+            &elsewhere,
+            bench_report_json("sample", &slow_reports, &host),
+        )
+        .unwrap();
+        let report = perf_gate(&elsewhere, &baseline, "sample", &pinned, 3.0).unwrap();
+        assert!(report.regressions.is_empty());
+        let reason = report.abstained.unwrap();
+        assert!(reason.contains("unlike host"), "{reason}");
+        assert!(reason.contains("nproc: 8 vs 2"), "{reason}");
+        // A baseline written before hosts were recorded: same abstention, named.
+        let legacy = dir.join("BENCH_legacy.json");
+        let text = std::fs::read_to_string(&baseline).unwrap();
+        let mut value: serde::Value = serde_json::from_str(&text).unwrap();
+        if let serde::Value::Object(fields) = &mut value {
+            fields.retain(|(key, _)| key != "host");
+        }
+        std::fs::write(&legacy, serde_json::to_string(&value).unwrap()).unwrap();
+        assert!(read_bench_document(&legacy, "sample")
+            .unwrap()
+            .host
+            .is_none());
+        let fresh = write_doc(&dir, "fresh", 1000.0, 1000.0);
+        let report = perf_gate(&fresh, &legacy, "sample", &pinned, 3.0).unwrap();
+        let reason = report.abstained.unwrap();
+        assert!(reason.contains("no host fingerprint"), "{reason}");
+        assert!(reason.contains("BENCH_legacy.json"), "{reason}");
+        // Like hosts still gate: the same 10x on the baseline's host is a regression.
+        let report = perf_gate(&fresh, &baseline, "sample", &pinned, 3.0).unwrap();
+        assert_eq!(report.abstained, None);
+        assert_eq!(report.regressions.len(), 1);
+        // The fingerprint round-trips through the document.
+        assert_eq!(
+            read_bench_document(&baseline, "sample").unwrap().host,
+            Some(sample_host())
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

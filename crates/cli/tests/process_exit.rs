@@ -140,3 +140,89 @@ fn schemes_with_a_wrongly_sized_rate_matrix_are_json_errors() {
     assert_json_error(&["simulate", "--scheme", file], expected);
     std::fs::remove_file(path).ok();
 }
+
+/// Rewrites the checkpoint at `path` with its top-level `format_version` replaced by
+/// `version`, or removed when `version` is `None`.
+fn rewrite_format_version(path: &std::path::Path, version: Option<u64>) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let mut value: serde::Value = serde_json::from_str(&text).unwrap();
+    let serde::Value::Object(fields) = &mut value else {
+        panic!("a checkpoint is a JSON object");
+    };
+    let slot = fields
+        .iter()
+        .position(|(key, _)| key == "format_version")
+        .expect("checkpoints carry a format version");
+    match version {
+        Some(version) => fields[slot].1 = serde::Value::U64(version),
+        None => {
+            fields.remove(slot);
+        }
+    }
+    std::fs::write(path, serde_json::to_string(&value).unwrap()).unwrap();
+}
+
+#[test]
+fn checkpoints_of_another_format_version_are_json_errors() {
+    let dir = std::env::temp_dir().join(format!("bmp-exit-{}-versions", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (instance, scheme) = (path("instance.json"), path("scheme.json"));
+    let (run, fleet) = (path("run.ckpt"), path("fleet.ckpt"));
+    for args in [
+        &[
+            "generate",
+            "--receivers",
+            "8",
+            "--seed",
+            "42",
+            "--out",
+            &instance,
+        ][..],
+        &["solve", "--instance", &instance, "--out", &scheme],
+        &[
+            "simulate",
+            "--scheme",
+            &scheme,
+            "--chunks",
+            "60",
+            "--churn",
+            "5:3",
+            "--repair",
+            "--checkpoint",
+            &run,
+            "--checkpoint-every",
+            "5",
+            "--halt-after",
+            "20",
+        ],
+        &[
+            "serve",
+            "--sessions",
+            "4",
+            "--receivers",
+            "4",
+            "--chunks",
+            "24",
+            "--checkpoint",
+            &fleet,
+            "--checkpoint-every",
+            "1",
+            "--halt-after",
+            "2",
+        ],
+    ] {
+        let output = bmp(args);
+        assert!(output.status.success(), "{args:?}: {output:?}");
+    }
+    for (command, file) in [("simulate", &run), ("serve", &fleet)] {
+        for version in [Some(0), Some(2), None] {
+            rewrite_format_version(std::path::Path::new(file), version);
+            assert_json_error(
+                &[command, "--resume", file],
+                "invalid checkpoint: format version",
+            );
+        }
+    }
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -16,12 +16,12 @@
 //!   delivered throughput drops below a floor. Its probes re-score the same scheme with
 //!   only that node's outgoing rates moving — exactly the access pattern the dirty-edge
 //!   journal of [`BroadcastScheme`] accelerates (the evaluation context patches the few
-//!   journaled capacities instead of rescanning the O(n²) rate matrix per probe).
+//!   journaled capacities instead of re-walking every stored rate per probe).
 
 use crate::acyclic_guarded::{AcyclicGuardedSolver, AcyclicSolution};
 use crate::error::CoreError;
 use crate::faults::FaultSite;
-use crate::scheme::{BroadcastScheme, RATE_EPS};
+use crate::scheme::BroadcastScheme;
 use crate::solver::{EvalCtx, Solver};
 use bmp_platform::{Instance, NodeId};
 
@@ -68,9 +68,8 @@ pub fn residual_throughput_with(
     let throughput = ctx.min_max_flow_with(n, 0, &survivors, |edges| {
         edges.extend(
             scheme
-                .edges()
-                .into_iter()
-                .filter(|&(from, to, rate)| alive[from] && alive[to] && rate > RATE_EPS),
+                .iter_edges()
+                .filter(|&(from, to, _)| alive[from] && alive[to]),
         );
     });
     if throughput.is_finite() {
@@ -92,8 +91,8 @@ pub fn residual_throughput_with(
 /// the [`crate::scheme`] module docs): it clones **one** working copy up front and
 /// mutates only `node`'s outgoing rates per probe, so every evaluation rides the
 /// dirty-edge journal ([`crate::solver::Telemetry::rescans_skipped`]) instead of
-/// rescanning the rate matrix — cloning inside the probe loop would hand the context a
-/// fresh `eval_id` each time and pay the full scan.
+/// re-collecting every edge — cloning inside the probe loop would hand the context a
+/// fresh `eval_id` each time and pay the full edge walk.
 ///
 /// # Panics
 ///
@@ -107,18 +106,12 @@ pub fn degradation_tolerance(
 ) -> f64 {
     let instance = scheme.instance();
     assert!(node < instance.num_nodes(), "node {node} out of range");
-    let out_edges: Vec<(NodeId, f64)> = (0..instance.num_nodes())
-        .filter_map(|to| {
-            let rate = scheme.rate(node, to);
-            (to != node && rate > RATE_EPS).then_some((to, rate))
-        })
-        .collect();
     let mut probe = scheme.clone();
     let search = ctx.search();
     let tol = 1e-9 * floor.max(1.0);
     let outcome = search.maximize(1.0, |degradation| {
         let scale = 1.0 - degradation;
-        for &(to, rate) in &out_edges {
+        for (to, rate) in scheme.out_edges(node) {
             probe.set_rate(node, to, rate * scale);
         }
         ctx.throughput(&probe) + tol >= floor
@@ -189,8 +182,7 @@ fn translate_edges(
         new_to_old[new] = old;
     }
     scheme
-        .edges()
-        .into_iter()
+        .iter_edges()
         .map(|(from, to, rate)| (new_to_old[from], new_to_old[to], rate))
         .collect()
 }

@@ -11,7 +11,7 @@
 //!   to forward one chunk over each hop at the edge's allocated rate),
 //! * summary statistics used by the depth ablation experiment.
 
-use crate::scheme::{BroadcastScheme, RATE_EPS};
+use crate::scheme::BroadcastScheme;
 use bmp_platform::NodeId;
 use std::collections::VecDeque;
 
@@ -67,11 +67,7 @@ impl DepthProfile {
 pub fn depth_profile(scheme: &BroadcastScheme) -> DepthProfile {
     let n = scheme.instance().num_nodes();
     let adjacency: Vec<Vec<NodeId>> = (0..n)
-        .map(|from| {
-            (0..n)
-                .filter(|&to| to != from && scheme.rate(from, to) > RATE_EPS)
-                .collect()
-        })
+        .map(|from| scheme.out_edges(from).map(|(to, _)| to).collect())
         .collect();
 
     // Hop depth: plain BFS.

@@ -9,9 +9,9 @@
 //! # The dirty-edge journal
 //!
 //! Search loops (the dichotomic drivers, the churn degradation probes, the benchmarks)
-//! evaluate long runs of near-identical schemes. Rediscovering *which* rates moved used
-//! to cost a full O(n²) rate-matrix scan per evaluation, so every mutation now maintains
-//! a journal that [`crate::solver::EvalCtx`] consumes to skip the scan entirely:
+//! evaluate long runs of near-identical schemes. Rediscovering *which* rates moved costs
+//! a walk over every stored rate — O(n + edges) — per evaluation, so every mutation
+//! maintains a journal that [`crate::solver::EvalCtx`] consumes to skip the walk entirely:
 //!
 //! * every scheme object carries a process-unique [`BroadcastScheme::eval_id`] (fresh on
 //!   construction, clone and deserialization — two objects never share an id, so a cached
@@ -39,11 +39,11 @@
 //! fresh on every construction, clone and deserialization, so an evaluation context can
 //! associate its cached arena with exactly one object. The flip side: a search that
 //! clones the scheme *inside* its probe loop hands the context a brand-new identity on
-//! every probe and silently pays the full O(n²) rate-matrix scan each time. The intended
+//! every probe and silently pays the full O(n + edges) rescan each time. The intended
 //! idiom — used by `churn::degradation_tolerance` and every dichotomic driver — is
 //! **copy-on-probe**: clone **one working copy** before the loop, then mutate that same
 //! object in place per probe, so every mutation lands in its journal and every
-//! re-evaluation patches a handful of capacities instead of rescanning the matrix:
+//! re-evaluation patches a handful of capacities instead of rescanning every edge:
 //!
 //! ```
 //! use bmp_core::scheme::BroadcastScheme;
@@ -118,12 +118,17 @@ fn fresh_eval_id() -> u64 {
     NEXT_EVAL_ID.fetch_add(1, Ordering::Relaxed)
 }
 
+/// One stored rate `c_{from,to}` of a row: `(to, rate)`.
+type RowEntry = (NodeId, f64);
+
 /// A broadcast scheme over a given instance.
 #[derive(Debug)]
 pub struct BroadcastScheme {
     instance: Instance,
-    /// Row-major rate matrix `c[i * num_nodes + j]`.
-    rates: Vec<f64>,
+    /// `rows[from]` holds the rates `c_{from,to}` as `(to, rate)` pairs sorted by `to`.
+    /// Every entry whose bits differ from `+0.0` is stored (dust, `-0.0`, negative
+    /// rates and a deserialized diagonal included); an absent entry is `+0.0`.
+    rows: Vec<Vec<RowEntry>>,
     /// Process-unique identity of this object (see the module docs).
     eval_id: u64,
     /// Incremented whenever a mutation creates or removes an edge.
@@ -140,35 +145,45 @@ impl Clone for BroadcastScheme {
     /// fresh [`BroadcastScheme::eval_id`] and an empty journal (the original and the clone
     /// may diverge independently, so they must not share journal state).
     fn clone(&self) -> Self {
-        BroadcastScheme {
-            instance: self.instance.clone(),
-            rates: self.rates.clone(),
-            eval_id: fresh_eval_id(),
-            edge_epoch: 0,
-            journal_base: 0,
-            journal: Vec::new(),
-        }
+        Self::with_rows(self.instance.clone(), self.rows.clone())
     }
 }
 
 impl PartialEq for BroadcastScheme {
-    /// Equality is semantic: same instance, same rate matrix. The journal bookkeeping is
-    /// per-object state and does not participate.
+    /// Equality is semantic: same instance, same rate `c_{i,j}` for every pair under `f64`
+    /// equality (a stored `-0.0` equals an absent `+0.0`, a NaN equals nothing). The
+    /// journal bookkeeping is per-object state and does not participate.
     fn eq(&self, other: &Self) -> bool {
-        self.instance == other.instance && self.rates == other.rates
+        fn significant(row: &[RowEntry]) -> impl Iterator<Item = &RowEntry> {
+            row.iter().filter(|&&(_, rate)| rate != 0.0)
+        }
+        self.instance == other.instance
+            && self
+                .rows
+                .iter()
+                .zip(&other.rows)
+                .all(|(a, b)| significant(a).eq(significant(b)))
     }
 }
 
 impl serde::Serialize for BroadcastScheme {
-    /// Serializes the semantic fields only (`instance`, `rates`), exactly like the
-    /// pre-journal derived implementation, so documents stay interchangeable.
+    /// Serializes the semantic fields only: `instance` and the dense row-major `rates`
+    /// array of `num_nodes²` entries, so documents stay interchangeable with every
+    /// earlier version of the format.
     fn to_value(&self) -> serde::Value {
+        let n = self.instance.num_nodes();
+        let mut rates = vec![0.0; n * n];
+        for (from, row) in self.rows.iter().enumerate() {
+            for &(to, rate) in row {
+                rates[from * n + to] = rate;
+            }
+        }
         serde::Value::Object(vec![
             (
                 "instance".to_string(),
                 serde::Serialize::to_value(&self.instance),
             ),
-            ("rates".to_string(), serde::Serialize::to_value(&self.rates)),
+            ("rates".to_string(), serde::Serialize::to_value(&rates)),
         ])
     }
 }
@@ -177,7 +192,7 @@ impl serde::Deserialize for BroadcastScheme {
     /// Rebuilds the scheme with a fresh evaluation identity and an empty journal (a
     /// document knows nothing about the mutation history of the object it came from).
     ///
-    /// A rate matrix that is not `num_nodes²` entries long is rejected (every accessor
+    /// A rate matrix that is not `num_nodes²` entries long is rejected (the document
     /// indexes it as a square matrix), and so is a non-finite rate (a JSON number whose
     /// exponent overflows), which no flow network can carry.
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
@@ -203,14 +218,40 @@ impl serde::Deserialize for BroadcastScheme {
                 idx % n
             )));
         }
-        Ok(BroadcastScheme {
-            instance,
-            rates,
-            eval_id: fresh_eval_id(),
-            edge_epoch: 0,
-            journal_base: 0,
-            journal: Vec::new(),
-        })
+        let rows = (0..n)
+            .map(|from| {
+                (0..n)
+                    .map(|to| (to, rates[from * n + to]))
+                    .filter(|&(_, rate)| is_stored(rate))
+                    .collect()
+            })
+            .collect();
+        Ok(Self::with_rows(instance, rows))
+    }
+}
+
+/// Whether a rate is kept in its row: everything except `+0.0` itself, so the rows
+/// reproduce the dense matrix bit for bit.
+fn is_stored(rate: f64) -> bool {
+    rate.to_bits() != 0.0_f64.to_bits()
+}
+
+/// The position of `to` in a row sorted by target: `Ok` where it is stored, `Err` where
+/// it would be inserted.
+fn find(row: &[RowEntry], to: NodeId) -> Result<usize, usize> {
+    row.binary_search_by_key(&to, |&(target, _)| target)
+}
+
+/// Sums the stored entries of a row or column of `n` entries bit-identically to a dense
+/// pass over all `n`, which `Iterator::sum` starts at `-0.0`. An unstored entry is
+/// `+0.0`: adding one turns a `-0.0` total into `+0.0` and leaves every other total as
+/// it is, wherever in the pass it falls.
+fn dense_sum(rates: impl Iterator<Item = f64>, n: usize) -> f64 {
+    let (sum, stored) = rates.fold((-0.0, 0), |(sum, stored), rate| (sum + rate, stored + 1));
+    if stored < n {
+        sum + 0.0
+    } else {
+        sum
     }
 }
 
@@ -218,10 +259,15 @@ impl BroadcastScheme {
     /// Creates an all-zero scheme for `instance`.
     #[must_use]
     pub fn new(instance: Instance) -> Self {
-        let n = instance.num_nodes();
+        let rows = vec![Vec::new(); instance.num_nodes()];
+        Self::with_rows(instance, rows)
+    }
+
+    /// A scheme holding `rows` under a fresh evaluation identity with an empty journal.
+    fn with_rows(instance: Instance, rows: Vec<Vec<RowEntry>>) -> Self {
         BroadcastScheme {
             instance,
-            rates: vec![0.0; n * n],
+            rows,
             eval_id: fresh_eval_id(),
             edge_epoch: 0,
             journal_base: 0,
@@ -235,28 +281,24 @@ impl BroadcastScheme {
         &self.instance
     }
 
-    #[inline]
-    fn index(&self, from: NodeId, to: NodeId) -> usize {
-        from * self.instance.num_nodes() + to
-    }
-
     /// Transfer rate `c_{from,to}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not a node of the instance.
     #[must_use]
     pub fn rate(&self, from: NodeId, to: NodeId) -> f64 {
-        self.rates[self.index(from, to)]
+        let row = &self.rows[from];
+        find(row, to).map_or(0.0, |slot| row[slot].1)
     }
 
     /// Sets the transfer rate `c_{from,to}`, journaling the change (see the module docs).
     ///
     /// # Panics
     ///
-    /// Panics if `from == to`.
+    /// Panics if `from == to` or either node is not a node of the instance.
     pub fn set_rate(&mut self, from: NodeId, to: NodeId, rate: f64) {
-        assert_ne!(from, to, "a node cannot send to itself");
-        let idx = self.index(from, to);
-        let old = self.rates[idx];
-        self.rates[idx] = rate;
-        self.record_rate_change(from, to, old, rate);
+        self.update(from, to, |_| rate);
     }
 
     /// Adds `delta` to the transfer rate `c_{from,to}` (clamping tiny negative results to 0),
@@ -264,14 +306,38 @@ impl BroadcastScheme {
     ///
     /// # Panics
     ///
-    /// Panics if `from == to`.
+    /// Panics if `from == to` or either node is not a node of the instance.
     pub fn add_rate(&mut self, from: NodeId, to: NodeId, delta: f64) {
+        self.update(from, to, |old| eps::clamp_nonnegative(old + delta));
+    }
+
+    /// Replaces `c_{from,to}` by `new(c_{from,to})` with one row search, keeping the row
+    /// sorted and free of `+0.0` entries, and journals the change.
+    fn update(&mut self, from: NodeId, to: NodeId, new: impl FnOnce(f64) -> f64) {
         assert_ne!(from, to, "a node cannot send to itself");
-        let idx = self.index(from, to);
-        let old = self.rates[idx];
-        let new = eps::clamp_nonnegative(old + delta);
-        self.rates[idx] = new;
-        self.record_rate_change(from, to, old, new);
+        let n = self.instance.num_nodes();
+        assert!(to < n, "node {to} is out of range for a {n}-node instance");
+        let row = &mut self.rows[from];
+        let (old, rate) = match find(row, to) {
+            Ok(slot) => {
+                let old = row[slot].1;
+                let rate = new(old);
+                if is_stored(rate) {
+                    row[slot].1 = rate;
+                } else {
+                    row.remove(slot);
+                }
+                (old, rate)
+            }
+            Err(slot) => {
+                let rate = new(0.0);
+                if is_stored(rate) {
+                    row.insert(slot, (to, rate));
+                }
+                (0.0, rate)
+            }
+        };
+        self.record_rate_change(from, to, old, rate);
     }
 
     /// Journal capacity before compaction: a few entries per node, with a floor so tiny
@@ -352,17 +418,18 @@ impl BroadcastScheme {
     /// Total rate sent by `node`.
     #[must_use]
     pub fn sent(&self, node: NodeId) -> f64 {
-        (0..self.instance.num_nodes())
-            .map(|j| self.rate(node, j))
-            .sum()
+        let row = self.rows[node].iter().map(|&(_, rate)| rate);
+        dense_sum(row, self.instance.num_nodes())
     }
 
-    /// Total rate received by `node`.
+    /// Total rate received by `node` (one row search per sender).
     #[must_use]
     pub fn received(&self, node: NodeId) -> f64 {
-        (0..self.instance.num_nodes())
-            .map(|i| self.rate(i, node))
-            .sum()
+        let column = self
+            .rows
+            .iter()
+            .filter_map(|row| find(row, node).ok().map(|slot| row[slot].1));
+        dense_sum(column, self.instance.num_nodes())
     }
 
     /// Remaining outgoing bandwidth of `node` (can be slightly negative due to rounding).
@@ -374,9 +441,19 @@ impl BroadcastScheme {
     /// Outdegree of `node`: number of receivers it sends a meaningful rate to.
     #[must_use]
     pub fn outdegree(&self, node: NodeId) -> usize {
-        (0..self.instance.num_nodes())
-            .filter(|&j| self.rate(node, j) > RATE_EPS)
+        self.rows[node]
+            .iter()
+            .filter(|&&(_, rate)| rate > RATE_EPS)
             .count()
+    }
+
+    /// The edges leaving `node` as `(to, rate)` pairs in ascending `to`, skipping dust
+    /// and the diagonal (the row of [`BroadcastScheme::edges`] for `node`).
+    pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        self.rows[node]
+            .iter()
+            .copied()
+            .filter(move |&(to, rate)| rate > RATE_EPS && to != node)
     }
 
     /// The *busiest relay*: the receiver with the largest outdegree (ties broken by the
@@ -419,13 +496,13 @@ impl BroadcastScheme {
     #[must_use]
     pub fn validate(&self) -> Vec<SchemeViolation> {
         let mut violations = Vec::new();
-        let n = self.instance.num_nodes();
-        // Single pass over the rate matrix: per-row totals are accumulated inline instead
-        // of re-scanning each row through `sent`.
-        for (from, row) in self.rates.chunks_exact(n).enumerate() {
+        // One pass over the stored rates: per-row totals are accumulated inline instead
+        // of re-walking each row through `sent`. An unstored `+0.0` violates nothing and
+        // leaves a total started at `+0.0` unchanged.
+        for (from, row) in self.rows.iter().enumerate() {
             let from_guarded = self.instance.class(from) == NodeClass::Guarded;
             let mut sent = 0.0;
-            for (to, &rate) in row.iter().enumerate() {
+            for &(to, rate) in row {
                 sent += rate;
                 if from == to {
                     // The setters forbid self-loops, but a deserialized matrix can carry
@@ -461,24 +538,19 @@ impl BroadcastScheme {
         self.validate().is_empty()
     }
 
-    /// The nonzero rates as `(from, to, rate)` triples, skipping dust and the diagonal —
-    /// the single definition of "which edges exist" shared by every graph view below.
-    fn nonzero_rates(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
-        let n = self.instance.num_nodes();
-        self.rates
-            .iter()
-            .enumerate()
-            .filter_map(move |(idx, &rate)| {
-                let (from, to) = (idx / n, idx % n);
-                (rate > RATE_EPS && from != to).then_some((from, to, rate))
-            })
+    /// Streams the edges as `(from, to, rate)` triples, skipping dust and the diagonal,
+    /// row-major with ascending targets — the single definition of "which edges exist"
+    /// shared by every graph view below. One pass over the stored rates.
+    pub(crate) fn iter_edges(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
+        (0..self.rows.len())
+            .flat_map(move |from| self.out_edges(from).map(move |(to, rate)| (from, to, rate)))
     }
 
     /// Converts the scheme into the flat CSR arena the flow solvers operate on (one pass
-    /// over the nonzero rates).
+    /// over the stored rates).
     #[must_use]
     pub fn to_flow_arena(&self) -> FlowArena {
-        let edges: Vec<(NodeId, NodeId, f64)> = self.nonzero_rates().collect();
+        let edges: Vec<(NodeId, NodeId, f64)> = self.iter_edges().collect();
         FlowArena::from_edges(self.instance.num_nodes(), &edges)
     }
 
@@ -508,13 +580,9 @@ impl BroadcastScheme {
     #[must_use]
     pub fn topological_order(&self) -> Option<Vec<NodeId>> {
         let n = self.instance.num_nodes();
-        // One pass over the nonzero rates builds the adjacency lists and indegrees; the
-        // Kahn loop below then touches only actual edges instead of rescanning the matrix.
         let mut indegree = vec![0usize; n];
-        let mut successors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (from, to, _) in self.nonzero_rates() {
+        for (_, to, _) in self.iter_edges() {
             indegree[to] += 1;
-            successors[from].push(to);
         }
         // Kahn's algorithm, preferring smaller indices for determinism.
         let mut order = Vec::with_capacity(n);
@@ -524,7 +592,7 @@ impl BroadcastScheme {
             .collect();
         while let Some(std::cmp::Reverse(v)) = ready.pop() {
             order.push(v);
-            for &to in &successors[v] {
+            for (to, _) in self.out_edges(v) {
                 indegree[to] -= 1;
                 if indegree[to] == 0 {
                     ready.push(std::cmp::Reverse(to));
@@ -544,33 +612,31 @@ impl BroadcastScheme {
         self.topological_order().is_some()
     }
 
-    /// Removes rates below [`RATE_EPS`] (floating-point dust) from the matrix.
+    /// Removes rates below [`RATE_EPS`] (floating-point dust) from the rows.
     ///
     /// Dust is never an edge ([`BroadcastScheme::edges`] and the flow views share the
     /// strict `> RATE_EPS` threshold), so zeroing it changes neither the edge set nor any
     /// edge capacity: the journal and the epoch are deliberately left untouched, and a
     /// journal-patching evaluator remains exact across a prune.
     pub fn prune_dust(&mut self) {
-        for rate in &mut self.rates {
-            if *rate <= RATE_EPS {
-                *rate = 0.0;
-            }
+        for row in &mut self.rows {
+            row.retain(|&(_, rate)| rate > RATE_EPS || rate.is_nan());
         }
     }
 
-    /// Edges of the scheme as `(from, to, rate)` triples, skipping dust (one pass over the
-    /// nonzero rates).
+    /// Edges of the scheme as `(from, to, rate)` triples, skipping dust and the diagonal,
+    /// row-major with ascending targets (one pass over the stored rates).
     #[must_use]
     pub fn edges(&self) -> Vec<(NodeId, NodeId, f64)> {
-        self.nonzero_rates().collect()
+        self.iter_edges().collect()
     }
 
     /// Like [`BroadcastScheme::edges`], but writing into `buf` (cleared first) so repeat
-    /// callers — the incremental arena cache of [`crate::solver::EvalCtx`] — reuse one
-    /// allocation across evaluations.
+    /// callers — the arena cache of [`crate::solver::EvalCtx`] — reuse one allocation
+    /// across evaluations.
     pub fn edges_into(&self, buf: &mut Vec<(NodeId, NodeId, f64)>) {
         buf.clear();
-        buf.extend(self.nonzero_rates());
+        buf.extend(self.iter_edges());
     }
 }
 

@@ -13,7 +13,7 @@
 //!   and retains the arena across evaluations. Scheme evaluations are incremental
 //!   end-to-end: the context consumes the dirty-edge journal of [`BroadcastScheme`]
 //!   (see the `scheme` module docs), so a re-evaluation of a scheme whose edge *set* is
-//!   unchanged skips the O(n²) rate-matrix scan entirely and patches only the
+//!   unchanged skips the O(n + edges) walk of the stored rates and patches only the
 //!   journaled capacities into the cached arena
 //!   ([`FlowArena::patch_edge_capacities`], resolved through a CSR edge-index map the
 //!   context maintains). An edge-set change (epoch bump), a different scheme object, or
@@ -49,7 +49,7 @@
 //!
 //! The journal fast path keys on *object identity* ([`BroadcastScheme::eval_id`]): a
 //! search that clones the scheme per probe hands the context a fresh, journal-less
-//! object every time and silently pays the full O(n²) rescan. Clone **one working
+//! object every time and silently pays the full O(n + edges) rescan. Clone **one working
 //! copy** before the loop and mutate it in place per probe instead — see the
 //! "Copy-on-probe" section of the [`crate::scheme`] module docs for the doctest'd
 //! pattern (`churn::degradation_tolerance` is the in-tree exemplar).
@@ -94,8 +94,8 @@ pub struct Telemetry {
     pub flow_solves: u64,
     /// Number of feasibility probes spent by dichotomic searches.
     pub bisection_iters: u64,
-    /// Number of scheme evaluations that skipped the O(n²) rate-matrix rescan by
-    /// consuming the scheme's dirty-edge journal instead.
+    /// Number of scheme evaluations that skipped the O(n + edges) rescan of the stored
+    /// rates by consuming the scheme's dirty-edge journal instead.
     pub rescans_skipped: u64,
     /// Total edge capacities patched into the cached arena by journaled evaluations.
     pub edges_patched: u64,
@@ -138,8 +138,8 @@ struct JournalAssoc {
 /// the arena across evaluations, and counts work for [`Telemetry`].
 ///
 /// In steady state (re-probing the same scheme object with an unchanged edge set — the
-/// access pattern of every dichotomic search loop) an evaluation performs no O(n²)
-/// rate-matrix scan, no CSR construction and no allocation: the journaled capacities are
+/// access pattern of every dichotomic search loop) an evaluation performs no
+/// O(n + edges) rescan, no CSR construction and no allocation: the journaled capacities are
 /// patched into the cached arena and the reusable [`FlowSolver`] buffers are refilled.
 #[derive(Debug, Clone)]
 pub struct EvalCtx {
@@ -309,8 +309,8 @@ impl EvalCtx {
         self.arena_updates
     }
 
-    /// Number of scheme evaluations that skipped the O(n²) rate-matrix rescan via the
-    /// dirty-edge journal.
+    /// Number of scheme evaluations that skipped the O(n + edges) rescan of the stored
+    /// rates via the dirty-edge journal.
     #[must_use]
     pub fn rescans_skipped(&self) -> u64 {
         self.rescans_skipped
@@ -475,8 +475,8 @@ impl EvalCtx {
     }
 
     /// Points the scheme arena at `scheme`'s current rates: a sparse journal patch when
-    /// the arena is current for this scheme object's edge set, a scan of the rate
-    /// matrix followed by [`CachedArena::prepare`] otherwise.
+    /// the arena is current for this scheme object's edge set, a walk over the stored
+    /// rates followed by [`CachedArena::prepare`] otherwise.
     fn ensure_scheme_arena(&mut self, scheme: &BroadcastScheme) {
         if self.try_patch_from_journal(scheme) {
             return;
@@ -1035,7 +1035,7 @@ mod tests {
         // The solve's own verification built the arena for this scheme object; every
         // following evaluation of the same object with an unchanged edge set — including
         // one with perturbed rates — must consume the journal: no rebuild, no bulk
-        // rewrite, no rate-matrix rescan.
+        // rewrite, no rescan of the stored rates.
         let builds_before = ctx.arena_builds();
         let updates_before = ctx.arena_updates();
         let skips_before = ctx.rescans_skipped();
@@ -1062,7 +1062,7 @@ mod tests {
         scheme.set_rate(from, to, rate * 0.5);
         let journaled = ctx.throughput(&scheme);
         assert!(ctx.rescans_skipped() > 0);
-        // A fresh context has no journal association, so it scans the rate matrix.
+        // A fresh context has no journal association, so it walks the stored rates.
         let mut fresh = EvalCtx::new();
         assert_eq!(fresh.throughput(&scheme), journaled);
         assert_eq!(fresh.rescans_skipped(), 0);

@@ -175,7 +175,7 @@ fn trait_impls_match_legacy_entry_points() {
 }
 
 /// [`degradation_tolerance`] with every probe scored by a fresh context: a fresh
-/// `EvalCtx` has no journal association, so each evaluation scans the rate matrix. The
+/// `EvalCtx` has no journal association, so each evaluation walks the stored rates. The
 /// scan-path oracle the journaled search must reproduce exactly.
 fn scanned_degradation_tolerance(scheme: &BroadcastScheme, node: usize, floor: f64) -> f64 {
     let out_edges: Vec<(usize, f64)> = (0..scheme.instance().num_nodes())
@@ -252,7 +252,7 @@ fn every_solver_dichotomic_reprobe_rides_the_journal() {
 }
 
 /// Asserts that `ctx` scores `scheme` bit-identically to a fresh context (which has no
-/// journal association and so scans the rate matrix), and reports whether `ctx` took
+/// journal association and so walks the stored rates), and reports whether `ctx` took
 /// the journal path to get there.
 fn matches_fresh_oracle(ctx: &mut EvalCtx, scheme: &BroadcastScheme, what: &str) -> bool {
     let skips_before = ctx.rescans_skipped();

@@ -22,7 +22,7 @@ use crate::metrics::{FleetMetrics, FleetReport, SessionStats};
 use crate::mix_seed;
 use crate::supervise::{
     Disposition, FaultProgress, FleetCheckpoint, PendingEntry, QuarantineReason, QuarantineRecord,
-    SavedSessionState, SessionFaults, SupervisionConfig,
+    SavedSessionState, SessionFaults, SupervisionConfig, FLEET_CHECKPOINT_VERSION,
 };
 use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
 use bmp_flow::WorkerPanicGuard;
@@ -682,6 +682,7 @@ pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetR
     let (mut wave, mut completed, mut quarantined, mut pending) = match resume {
         Some(checkpoint) => {
             let FleetCheckpoint {
+                format_version: _,
                 config: saved,
                 admissions: saved_admissions,
                 next_wave,
@@ -798,6 +799,7 @@ pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetR
             waves_since_checkpoint = 0;
             if let Some(sink) = on_checkpoint.as_mut() {
                 sink(&FleetCheckpoint {
+                    format_version: FLEET_CHECKPOINT_VERSION,
                     config: config.clone(),
                     admissions: admissions.clone(),
                     next_wave: wave,
@@ -810,6 +812,7 @@ pub fn run_fleet_with(config: &FleetConfig, options: FleetOptions<'_>) -> FleetR
     }
     if halted {
         return FleetRun::Halted(FleetCheckpoint {
+            format_version: FLEET_CHECKPOINT_VERSION,
             config: config.clone(),
             admissions,
             next_wave: wave,

@@ -127,7 +127,7 @@ pub use fleet::{run_fleet, run_fleet_with, FleetConfig, FleetOptions, FleetRun};
 pub use metrics::{FleetMetrics, FleetReport, SessionStats};
 pub use supervise::{
     Disposition, FleetCheckpoint, QuarantineReason, QuarantineRecord, SessionFaults, SessionPanic,
-    SessionWedge, SupervisionConfig,
+    SessionWedge, SupervisionConfig, FLEET_CHECKPOINT_VERSION,
 };
 
 /// The splitmix64 finalizer, used to derive independent per-session RNG streams from

@@ -268,6 +268,10 @@ pub struct PendingEntry {
     pub state: Option<SavedSessionState>,
 }
 
+/// Format version of the [`FleetCheckpoint`] document. Bump it whenever the document's
+/// shape or meaning changes, so an old checkpoint is refused instead of misread.
+pub const FLEET_CHECKPOINT_VERSION: u32 = 1;
+
 /// A resumable snapshot of a whole fleet: the configuration it ran under, the
 /// admission log (revalidated on resume — the coordinator recomputes it from the
 /// config and the two must agree), the completed rows and quarantine log so far, and
@@ -284,6 +288,9 @@ pub struct PendingEntry {
 /// file is a JSON error, not an abort.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FleetCheckpoint {
+    /// Always [`FLEET_CHECKPOINT_VERSION`]; a document whose version is missing or
+    /// different is rejected before anything else is read.
+    pub(crate) format_version: u32,
     /// The fleet configuration the run was started with.
     pub config: FleetConfig,
     /// The coordinator's admission log.
@@ -303,8 +310,10 @@ impl Deserialize for FleetCheckpoint {
         let obj = value
             .as_object()
             .ok_or_else(|| serde::DeError::expected("map", "FleetCheckpoint"))?;
+        bmp_sim::adapt::check_format_version(obj, FLEET_CHECKPOINT_VERSION)?;
         let field = |name: &str| serde::field(obj, name, "FleetCheckpoint");
         let checkpoint = FleetCheckpoint {
+            format_version: FLEET_CHECKPOINT_VERSION,
             config: Deserialize::from_value(field("config")?)?,
             admissions: Deserialize::from_value(field("admissions")?)?,
             next_wave: Deserialize::from_value(field("next_wave")?)?,

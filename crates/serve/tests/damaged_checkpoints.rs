@@ -4,7 +4,9 @@
 //! way `bmp serve --resume` does, under the configuration it carries — and run to the
 //! end without panicking.
 
-use bmp_serve::{run_fleet_with, FleetCheckpoint, FleetConfig, FleetOptions, FleetRun};
+use bmp_serve::{
+    run_fleet_with, FleetCheckpoint, FleetConfig, FleetOptions, FleetRun, FLEET_CHECKPOINT_VERSION,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -73,6 +75,39 @@ fn damaged(document: &str, cut: f64, at: f64, mask: u8) -> [String; 3] {
 #[test]
 fn the_intact_checkpoint_resumes() {
     resume(FleetCheckpoint::from_json(halted_document()).unwrap());
+}
+
+/// The halt document with its top-level fields edited by `edit`.
+fn edited(edit: impl FnOnce(&mut Vec<(String, serde::Value)>)) -> String {
+    let mut value: serde::Value = serde_json::from_str(halted_document()).unwrap();
+    let serde::Value::Object(fields) = &mut value else {
+        panic!("a checkpoint serializes as an object");
+    };
+    edit(fields);
+    serde_json::to_string(&value).unwrap()
+}
+
+#[test]
+fn checkpoints_without_the_current_format_version_are_rejected() {
+    let current = u64::from(FLEET_CHECKPOINT_VERSION);
+    edited(|fields| {
+        assert_eq!(fields[0].0, "format_version");
+        assert_eq!(fields[0].1.as_u64(), Some(current));
+    });
+    let foreign = edited(|fields| fields[0].1 = serde::Value::U64(current + 1));
+    let error = FleetCheckpoint::from_json(&foreign).unwrap_err();
+    assert!(
+        error.contains("invalid checkpoint: format version 2, expected 1"),
+        "{error}"
+    );
+    let missing = edited(|fields| {
+        fields.remove(0);
+    });
+    let error = FleetCheckpoint::from_json(&missing).unwrap_err();
+    assert!(
+        error.contains("invalid checkpoint: format version missing"),
+        "{error}"
+    );
 }
 
 proptest! {

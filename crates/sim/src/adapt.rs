@@ -910,6 +910,7 @@ impl AdaptiveRun {
     #[must_use]
     pub fn checkpoint(&self, controller: Option<&RepairController>) -> RunCheckpoint {
         RunCheckpoint {
+            format_version: RUN_CHECKPOINT_VERSION,
             session: self.session.checkpoint(),
             churn: self.churn.clone(),
             next_event: self.next_event,
@@ -946,6 +947,7 @@ impl AdaptiveRun {
         checkpoint: RunCheckpoint,
     ) -> Result<(Self, Option<RepairController>), String> {
         let RunCheckpoint {
+            format_version: _,
             session,
             churn,
             next_event,
@@ -1015,9 +1017,13 @@ impl AdaptiveRun {
 ///
 /// Deserialization rebuilds the run the document describes and rejects the document
 /// when [`AdaptiveRun::resume`] would panic on it, so every checkpoint that
-/// deserializes resumes; a damaged file is a JSON error, not an abort.
+/// deserializes resumes; a damaged file is a JSON error, not an abort. A document
+/// whose `format_version` is missing or differs from [`RUN_CHECKPOINT_VERSION`] is
+/// rejected before anything else is read.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunCheckpoint {
+    /// Always [`RUN_CHECKPOINT_VERSION`] (checked on deserialization).
+    format_version: u32,
     session: SessionSnapshot,
     churn: ChurnSchedule,
     next_event: usize,
@@ -1032,8 +1038,10 @@ impl Deserialize for RunCheckpoint {
         let obj = value
             .as_object()
             .ok_or_else(|| serde::DeError::expected("map", "RunCheckpoint"))?;
+        check_format_version(obj, RUN_CHECKPOINT_VERSION)?;
         let field = |name: &str| serde::field(obj, name, "RunCheckpoint");
         let checkpoint = RunCheckpoint {
+            format_version: RUN_CHECKPOINT_VERSION,
             session: Deserialize::from_value(field("session")?)?,
             churn: Deserialize::from_value(field("churn")?)?,
             next_event: Deserialize::from_value(field("next_event")?)?,
@@ -1046,6 +1054,36 @@ impl Deserialize for RunCheckpoint {
             .map_err(|error| serde::DeError::custom(format!("invalid checkpoint: {error}")))?;
         Ok(checkpoint)
     }
+}
+
+/// Format version of the [`RunCheckpoint`] document. Bump it whenever the document's
+/// shape or meaning changes, so an old checkpoint is refused instead of misread.
+pub const RUN_CHECKPOINT_VERSION: u32 = 1;
+
+/// Checks the `format_version` field of a checkpoint document's top-level `fields`
+/// against `expected`, naming what was found when it is missing or different.
+///
+/// # Errors
+///
+/// A [`serde::DeError`] reading "invalid checkpoint: format version …" when the field
+/// is missing, not a version number, or not `expected`.
+pub fn check_format_version(
+    fields: &[(String, serde::Value)],
+    expected: u32,
+) -> Result<(), serde::DeError> {
+    let found = fields
+        .iter()
+        .find(|(key, _)| key == "format_version")
+        .map(|(_, value)| value);
+    let problem = match found.map(u32::from_value) {
+        Some(Ok(version)) if version == expected => return Ok(()),
+        Some(Ok(version)) => format!("{version}"),
+        Some(Err(_)) => "is not a version number".to_string(),
+        None => "missing (written before checkpoints were versioned?)".to_string(),
+    };
+    Err(serde::DeError::custom(format!(
+        "invalid checkpoint: format version {problem}, expected {expected}"
+    )))
 }
 
 impl RunCheckpoint {

@@ -7,7 +7,7 @@ use bmp_core::acyclic_guarded::AcyclicGuardedSolver;
 use bmp_platform::paper::figure1;
 use bmp_sim::{
     AdaptationPolicy, AdaptiveRun, ChurnSchedule, Overlay, RepairController, RunCheckpoint,
-    SimConfig, StaticPolicy,
+    SimConfig, StaticPolicy, RUN_CHECKPOINT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -74,6 +74,46 @@ fn damaged(document: &str, cut: f64, at: f64, mask: u8) -> [String; 3] {
         String::from_utf8_lossy(&flipped).into_owned(),
         String::from_utf8(shifted).expect("digits are ASCII"),
     ]
+}
+
+/// `document` with its top-level `format_version` replaced by `version`, or removed.
+fn with_format_version(document: &str, version: Option<serde::Value>) -> String {
+    let mut value: serde::Value = serde_json::from_str(document).unwrap();
+    let serde::Value::Object(fields) = &mut value else {
+        panic!("a checkpoint serializes as an object");
+    };
+    fields.retain(|(key, _)| key != "format_version");
+    if let Some(version) = version {
+        fields.insert(0, ("format_version".to_string(), version));
+    }
+    serde_json::to_string(&value).unwrap()
+}
+
+#[test]
+fn checkpoints_without_the_current_format_version_are_rejected() {
+    let document = serde_json::to_string(&checkpoint(5, true)).unwrap();
+    let current = u64::from(RUN_CHECKPOINT_VERSION);
+    assert!(
+        document.starts_with(&format!("{{\"format_version\":{current},")),
+        "{document}"
+    );
+    for (version, expected) in [
+        (None, "format version missing"),
+        (
+            Some(serde::Value::U64(current + 1)),
+            "format version 2, expected 1",
+        ),
+        (
+            Some(serde::Value::Str(current.to_string())),
+            "format version is not a version number",
+        ),
+    ] {
+        let error = serde_json::from_str::<RunCheckpoint>(&with_format_version(&document, version))
+            .unwrap_err()
+            .to_string();
+        assert!(error.contains("invalid checkpoint: "), "{error}");
+        assert!(error.contains(expected), "{error}");
+    }
 }
 
 proptest! {
